@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -211,22 +212,12 @@ def cmd_sweep(args) -> int:
             raise InvalidInput(f"bad --range {args.range!r}, expected lo:hi")
     rows = sweep_rows(params, args.axis, lo, hi, args.steps,
                       tax_split=args.tax_split)
-    buf = []
-    writer_target = csv.DictWriter(
-        _ListWriter(buf), fieldnames=SWEEP_COLUMNS, restval="")
-    writer_target.writeheader()
-    for row in rows:
-        writer_target.writerow(row)
-    _emit("".join(buf), args.out)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(buf.getvalue(), args.out)
     return EXIT_OK
-
-
-class _ListWriter:
-    def __init__(self, sink: list):
-        self.sink = sink
-
-    def write(self, text: str):
-        self.sink.append(text)
 
 
 def cmd_simulate(args) -> int:

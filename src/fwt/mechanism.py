@@ -17,7 +17,8 @@ import numpy as np
 from .model import FeeMenu, HeteroCostParams, SystemParams, TaxVector, require_valid
 from .user_game import (
     SneOutcome,
-    _stage2_rates_core,
+    _delta,
+    _pi_rates,
     net_utilities,
     sne_select,
     user_payoff,
@@ -308,53 +309,101 @@ def unconstrained_optimum_oracle(params: SystemParams,
 
     Welfare depends on the tax vector only through the two row sums, so the
     search space is four-dimensional: both fees on [0, 1.5*R_H/sbar] and
-    both row sums on [-R_H, R_H]. Each fee pair is evaluated against the
-    full row-sum grid in one vectorized Stage-II solve.
+    both row sums on [-R_H, R_H]. A menu is a pair fee[i] > fee[j] of the
+    ascending fee axis.
+
+    The search makes one Stage-II solve per fee, not per menu. At each
+    row-sum cell the selected equilibrium puts everyone at one fee, so the
+    cell's welfare is that of "everyone uses fee f", and which fee is used
+    depends on the menu only through per-fee quantities: nobody generates
+    when rho_H < C_s; everyone uses rho_H when rho_L < C_s <= rho_H; with
+    both fees accepted, everyone uses rho_H exactly when the high-fee
+    attractiveness delta at the rho_L rates exceeds sbar*rho_H (never when
+    gamma = 0). Two tables over the fee axis therefore carry the search:
+    W[f], the welfare when everyone uses fee f (zero rates when f < C_s),
+    and D[f], that delta (+inf when f < C_s, so a refused rho_L defers to
+    rho_H; -inf when gamma = 0). Menu (i, j) has welfare
+    where(D[j] > sbar*fee[i], W[i], W[j]). The tables hold the same arrays
+    a per-menu solve computes and every selection is elementwise, so each
+    menu's welfare is bitwise that of solving it on its own.
+
+    The winner is the first maximum in (i, j, cell) order; a menu whose
+    welfare holds a NaN is skipped, as its argmax lands on the NaN.
     """
     require_valid(params)
     r_h, r_l = params.utility_high, params.utility_low
     mu = params.block_rate
     gamma = params.impatience
     sbar = params.mean_tx_size
+    c_s = params.storage_cost_per_byte
     n_h, n_l = params.n_users_high, params.n_users_low
     scb = params.system_storage_per_byte
 
     fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
     q_grid = np.linspace(-r_h, r_h, grid_points)
     qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
-    h_high = r_h - qh
-    h_low = r_l - ql
+    h_high = (r_h - qh).ravel()
+    h_low = (r_l - ql).ravel()
+    b_is_high = h_high >= h_low
+    h_b = np.where(b_is_high, h_high, h_low)
+    h_s = np.where(b_is_high, h_low, h_high)
+    n_b = np.where(b_is_high, n_h, n_l)
+    n_s = np.where(b_is_high, n_l, n_h)
 
     margin_h = r_h - scb * sbar
     margin_l = r_l - scb * sbar
 
+    def rates_at(fee: float):
+        """Per-user rates (pi_B, pi_S) when everyone uses this fee."""
+        if fee < c_s:
+            return np.zeros(h_b.shape), np.zeros(h_b.shape)
+        return _pi_rates(h_b, h_s, fee, n_b, n_s, params)
+
+    welfare = np.empty((grid_points, h_b.size))
+    delta = np.empty((grid_points, h_b.size))
+    for f, fee in enumerate(fee_grid.tolist()):
+        pi_b, pi_s = rates_at(fee)
+        lam_h = np.where(b_is_high, pi_b, pi_s)
+        lam_l = np.where(b_is_high, pi_s, pi_b)
+        lam = n_h * lam_h + n_l * lam_l
+        if gamma == 0.0:
+            wait_cost = 0.0
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
+        welfare[f] = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
+        if fee < c_s:
+            delta[f] = np.inf
+        elif gamma == 0.0:
+            # waiting is free, so nobody pays the higher fee
+            delta[f] = -np.inf
+        else:
+            delta[f] = _delta(h_b, h_s, pi_b, pi_s, fee, n_b, n_s, params)
+
     best_w = -math.inf
     best = None
     for i in range(1, grid_points):
-        for j in range(i):
-            menu = FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j]))
-            lam_h, lam_l, _ = _stage2_rates_core(h_high, h_low, menu, params)
-            lam = n_h * lam_h + n_l * lam_l
-            if gamma == 0.0:
-                wait_cost = 0.0
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
-            welfare = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
-            k = int(np.argmax(welfare))
-            w = float(welfare.flat[k])
-            if w > best_w:
-                best_w = w
-                best = OracleResult(
-                    welfare=w,
-                    menu=menu,
-                    q_high=float(qh.flat[k]),
-                    q_low=float(ql.flat[k]),
-                    rate_high_type=float(np.asarray(lam_h).flat[k]),
-                    rate_low_type=float(np.asarray(lam_l).flat[k]),
-                )
+        # rows j < i: the welfare of menu (fee[i], fee[j]) at every cell
+        block = np.where(delta[:i] > sbar * fee_grid[i], welfare[i], welfare[:i])
+        k = block.argmax(axis=1)
+        w = block[np.arange(i), k]
+        j = int(np.argmax(np.where(np.isnan(w), -np.inf, w)))
+        if w[j] > best_w:
+            best_w = float(w[j])
+            best = (i, j, int(k[j]))
     assert best is not None
-    return best
+    i, j, k = best
+    used = i if delta[j, k] > sbar * fee_grid[i] else j
+    pi_b, pi_s = rates_at(float(fee_grid[used]))
+    lam_h, lam_l = (pi_b[k], pi_s[k]) if b_is_high[k] else (pi_s[k], pi_b[k])
+    return OracleResult(
+        welfare=best_w,
+        menu=FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j])),
+        q_high=float(qh.flat[k]),
+        q_low=float(ql.flat[k]),
+        rate_high_type=float(lam_h),
+        rate_low_type=float(lam_l),
+    )
 
 
 # --- waiting-tax comparison ------------------------------------------------------

@@ -76,6 +76,9 @@ class SystemParams:
 def validate_params(p: SystemParams) -> list[str]:
     """Return the full list of violated invariants (empty list = valid)."""
     errors = []
+    for name in sorted(_FLOAT_FIELDS):
+        if not math.isfinite(getattr(p, name)):
+            errors.append(f"{name} must be finite")
     if p.n_users_high < 1:
         errors.append("n_users_high must be >= 1")
     if p.n_users_low < 1:
@@ -99,11 +102,14 @@ def validate_params(p: SystemParams) -> list[str]:
             errors.append(
                 f"mining_power has {len(p.mining_power)} entries, expected {p.n_miners}"
             )
-        if any(a < 0 for a in p.mining_power):
-            errors.append("mining power entries must be nonnegative")
-        total = math.fsum(p.mining_power)
-        if abs(total - 1.0) > _POWER_SUM_TOL:
-            errors.append(f"mining power must sum to 1 (got {total!r})")
+        if not all(math.isfinite(a) for a in p.mining_power):
+            errors.append("mining power entries must be finite")
+        else:
+            if any(a < 0 for a in p.mining_power):
+                errors.append("mining power entries must be nonnegative")
+            total = math.fsum(p.mining_power)
+            if abs(total - 1.0) > _POWER_SUM_TOL:
+                errors.append(f"mining power must sum to 1 (got {total!r})")
     return errors
 
 

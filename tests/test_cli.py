@@ -42,6 +42,14 @@ def test_solve_param_override_and_validation(capsys):
     assert "block_rate must be positive" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_rejects_non_finite_param(value, capsys):
+    code, out, err = run_cli(["solve", "--param", f"utility_low={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "utility_low must be finite" in err
+
+
 def test_solve_bad_param_syntax(capsys):
     code, _, err = run_cli(["solve", "--param", "nonsense"], capsys)
     assert code == 2

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fwt.checks import prop2_draws
 from fwt.mechanism import (
+    OracleResult,
     induced_outcome,
     optimal_mechanism,
     optimal_mechanism_hetero,
@@ -13,8 +15,13 @@ from fwt.mechanism import (
     tax_comparison,
     unconstrained_optimum_oracle,
 )
-from fwt.model import FeeMenu, HeteroCostParams, SneKind, TaxVector
-from fwt.user_game import best_response_check, net_utilities, sne_select
+from fwt.model import FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector
+from fwt.user_game import (
+    _stage2_rates_core,
+    best_response_check,
+    net_utilities,
+    sne_select,
+)
 
 
 # frozen expectations at the evaluation defaults (gamma=5e-5, R_H=1.8e-3):
@@ -226,6 +233,107 @@ def test_oracle_zero_for_no_generation_params(table_params):
     p = replace(table_params, utility_high=1e-5, utility_low=5e-6)
     oracle = unconstrained_optimum_oracle(p, grid_points=12)
     assert oracle.welfare == 0.0
+
+
+def _pair_loop_oracle(params, grid_points):
+    """The oracle as it was before the per-fee factoring: one Stage-II
+    solve per fee pair, kept as the reference for bitwise agreement."""
+    r_h, r_l = params.utility_high, params.utility_low
+    mu, gamma, sbar = params.block_rate, params.impatience, params.mean_tx_size
+    n_h, n_l = params.n_users_high, params.n_users_low
+    scb = params.system_storage_per_byte
+    fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
+    q_grid = np.linspace(-r_h, r_h, grid_points)
+    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
+    margin_h = r_h - scb * sbar
+    margin_l = r_l - scb * sbar
+    best_w, best = -math.inf, None
+    for i in range(1, grid_points):
+        for j in range(i):
+            menu = FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j]))
+            lam_h, lam_l, _ = _stage2_rates_core(r_h - qh, r_l - ql, menu, params)
+            lam = n_h * lam_h + n_l * lam_l
+            if gamma == 0.0:
+                wait_cost = 0.0
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
+            welfare = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
+            k = int(np.argmax(welfare))
+            w = float(welfare.flat[k])
+            if w > best_w:
+                best_w = w
+                best = OracleResult(
+                    welfare=w, menu=menu,
+                    q_high=float(qh.flat[k]), q_low=float(ql.flat[k]),
+                    rate_high_type=float(np.asarray(lam_h).flat[k]),
+                    rate_low_type=float(np.asarray(lam_l).flat[k]))
+    return best
+
+
+def _oracle_reference_cases():
+    defaults = SystemParams()
+    cases = [(f"prop2 draw {d}", p) for d, p in enumerate(prop2_draws(17))]
+    cases += [
+        ("defaults", defaults),
+        ("gamma = 0", replace(defaults, impatience=0.0)),
+        ("no generation", replace(defaults, utility_high=1e-5, utility_low=5e-6)),
+        # one costly miner: the lowest fees of the axis sit below C_s, so
+        # the first menus have rho_H refused as well as rho_L
+        ("refused high fees", replace(defaults, n_miners=1, storage_cost_per_byte=4e-6)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("grid_points", [12, 25])
+def test_oracle_bitwise_matches_pair_loop(grid_points):
+    for label, p in _oracle_reference_cases():
+        assert (unconstrained_optimum_oracle(p, grid_points)
+                == _pair_loop_oracle(p, grid_points)), label
+
+
+def test_oracle_bitwise_matches_pair_loop_at_default_grid():
+    cases = dict(_oracle_reference_cases())
+    for label in ("prop2 draw 9", "no generation", "refused high fees"):
+        p = cases[label]
+        assert unconstrained_optimum_oracle(p) == _pair_loop_oracle(p, 50), label
+
+
+def test_oracle_skips_menus_with_nan_welfare(monkeypatch, table_params):
+    """A NaN rate poisons every menu whose welfare row uses it; those menus
+    are skipped in both implementations, and the winner moves."""
+    import fwt.mechanism as mechanism_mod
+    import fwt.user_game as user_game_mod
+
+    clean = unconstrained_optimum_oracle(table_params, 12)
+    real_pi_rates = user_game_mod._pi_rates
+
+    def poisoned(h_b, h_s, rho, n_b, n_s, params):
+        pi_b, pi_s = real_pi_rates(h_b, h_s, rho, n_b, n_s, params)
+        if rho == clean.menu.rho_high:
+            pi_b = np.array(pi_b)
+            pi_b.flat[-1] = math.nan  # the last row-sum cell
+        return pi_b, pi_s
+
+    monkeypatch.setattr(user_game_mod, "_pi_rates", poisoned)
+    monkeypatch.setattr(mechanism_mod, "_pi_rates", poisoned)
+    result = unconstrained_optimum_oracle(table_params, 12)
+    assert result == _pair_loop_oracle(table_params, 12)
+    assert result.menu != clean.menu
+    assert math.isfinite(result.welfare)
+
+
+def test_oracle_certifies_case2_on_finer_grid():
+    """Theorem 3 against a 100-point grid: the closed form is still within
+    1% of the grid optimum and is never beaten by it."""
+    draws = [p for p in prop2_draws(17) if optimal_mechanism(p).case == 2]
+    assert len(draws) == 5
+    for p in draws:
+        mech = optimal_mechanism(p)
+        w3 = social_welfare(induced_outcome(mech, p), mech.menu, mech.tax, p).total
+        oracle = unconstrained_optimum_oracle(p, grid_points=100)
+        assert oracle.welfare <= w3 * (1 + 1e-9)
+        assert abs(w3 - oracle.welfare) <= 0.01 * w3
 
 
 def test_best_response_certifies_induced_outcome(table_params):

@@ -34,6 +34,22 @@ def test_mining_power_must_sum_to_one():
     assert any("sum to 1" in e for e in errors)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["block_rate", "impatience", "mean_tx_size",
+                                   "storage_cost_per_byte", "utility_high",
+                                   "utility_low"])
+def test_non_finite_floats_rejected(field, value):
+    errors = validate_params(replace(SystemParams(), **{field: value}))
+    assert f"{field} must be finite" in errors
+
+
+@pytest.mark.parametrize("power", [(0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+                                   (math.inf, -math.inf, 1.0)])
+def test_non_finite_mining_power_rejected(power):
+    p = replace(SystemParams(), n_miners=3, mining_power=power)
+    assert "mining power entries must be finite" in validate_params(p)
+
+
 def test_all_violations_reported_together():
     p = replace(SystemParams(), block_rate=-1.0, mean_tx_size=0.0,
                 utility_high=0.0, utility_low=1.0)

@@ -80,6 +80,22 @@ def test_high_class_only_waiting():
         assert r.passed
 
 
+def test_priority_order_high_class_first():
+    """H uses only the high class and L only the low class, so each type's
+    wait names the class served first: under the reversed order H would
+    wait mu*l1/((mu - l2)(mu - l1 - l2)) and L only l2/(mu - l2)."""
+    prof = StrategyProfile(RatePair(1.0, 0.0), RatePair(0.0, 4.0))
+    mu = TWO_USERS.block_rate
+    analytic = {"H": 1.0 / (mu - 1.0), "L": mu * 4.0 / ((mu - 1.0) * (mu - 5.0))}
+    reversed_order = {"H": mu * 1.0 / ((mu - 4.0) * (mu - 5.0)), "L": 4.0 / (mu - 4.0)}
+    results = validate_lemma1(TWO_USERS, BOTH_OK, prof, replications=6,
+                              horizon=3000.0, seed=7)
+    for r in results:
+        assert r.analytic == pytest.approx(analytic[r.user_type], rel=1e-12)
+        assert abs(reversed_order[r.user_type] - r.analytic) > 0.1 * r.analytic
+        assert r.passed, r
+
+
 def test_lemma1_rejects_unstable_profiles():
     prof = StrategyProfile(RatePair(0.0, 1.0), RatePair(0.0, 1.0))
     with pytest.raises(ValueError):
