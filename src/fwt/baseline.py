@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams, require_valid
+from .queue import own_rate, sojourn, welfare_rate
 
 __all__ = ["ExistingOutcome", "existing_equilibrium", "verify_existing"]
 
@@ -37,6 +38,7 @@ class ExistingOutcome:
     converged: bool
     iterations: int
     fee_grid_points: int
+    cycle_len: int  # 1 at a fixed point, k on a k-cycle, 0 if max_iters ran out
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,32 +61,27 @@ def _fee_grid(params: SystemParams, points: int) -> np.ndarray:
     return np.linspace(lo, max(hi, lo * (1 + 1e-9)), points)
 
 
-def _best_response(r_n: float, n_own: int, others: list[tuple[int, float, float]],
+def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
                    grid: np.ndarray, params: SystemParams):
     """Best (fee index, rate) for one user type against the other type's play.
 
-    `others` lists (fee_index, per-user rate, user count) groups. For each
-    candidate fee the rate is the within-type symmetric fixed point: every
-    one of the n_own users individually optimizes against its n_own - 1
-    peers playing the same rate plus the listed traffic. This is the same
-    residual-capacity quadratic as the single-fee equilibrium, with the
-    class capacity shrunk by higher-fee traffic. The payoff-maximizing fee
-    wins, lowest fee on ties.
+    The other type sends the total rate `other_load` at fee index
+    `other_fi`. For each candidate fee the rate is the within-type
+    symmetric fixed point: every one of the n_own users individually
+    optimizes against its n_own - 1 peers playing the same rate plus the
+    other type's traffic. This is the same rate root as the single-fee
+    equilibrium, with the class capacity shrunk by higher-fee traffic,
+    which scales the waiting cost by mu/(mu - above). The
+    payoff-maximizing fee wins, lowest fee on ties.
     """
     mu = params.block_rate
     gamma = params.impatience
     sbar = params.mean_tx_size
     cap = params.max_rate_per_user
-    k = len(grid)
-    idx = np.arange(k)
-    above = np.zeros(k)
-    same = np.zeros(k)
-    for fee_idx, rate, count in others:
-        contrib = rate * count
-        if contrib == 0.0:
-            continue
-        above += np.where(idx < fee_idx, contrib, 0.0)
-        same += np.where(idx == fee_idx, contrib, 0.0)
+    above = np.zeros(len(grid))
+    above[:other_fi] = other_load
+    same = np.zeros(len(grid))
+    same[other_fi] = other_load
 
     margin = r_n - sbar * grid
     mu1 = mu - above          # capacity above my class
@@ -92,45 +89,30 @@ def _best_response(r_n: float, n_own: int, others: list[tuple[int, float, float]
     valid = (margin > 0) & (mu1 > 0) & (free > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if gamma == 0.0:
-            lam = np.clip(free, 0.0, cap)
-            lam = np.where(valid, lam, 0.0)
+            lam = np.where(valid, np.minimum(np.maximum(free, 0.0), cap), 0.0)
             payoff = np.where(valid, lam * margin, 0.0)
         else:
-            # n_own*(R - s*f)*(mu - A)*x^2 - gamma*mu*(n_own-1)*x
-            #   - gamma*mu*free = 0 in the residual x = free - n_own*lam
-            a = n_own * margin * mu1
-            b = gamma * mu * (n_own - 1)
-            c = gamma * mu * free
-            x = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-            lam = np.clip((free - x) / n_own, 0.0, cap)
-            lam = np.where(valid, lam, 0.0)
-            residual = free - n_own * lam
-            wait_per_tx = mu / (mu1 * residual)
+            lam = own_rate(n_own, margin, gamma * mu / mu1, free, valid)
+            lam = np.where(valid, np.minimum(np.maximum(lam, 0.0), cap), 0.0)
+            wait_per_tx = sojourn(mu, above, above + same + n_own * lam)
             cost = np.where(lam > 0, gamma * lam * wait_per_tx, 0.0)
             payoff = np.where(valid, lam * margin - cost, 0.0)
     best = int(np.argmax(payoff))
     return best, float(lam[best]), float(payoff[best])
 
 
-def _state_metrics(state, grid, params: SystemParams,
-                   system_cost_per_byte: float | None):
+def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: float):
     """Waits, payoffs, welfare and rate-weighted average fee of a state."""
     fi_h, lam_h, fi_l, lam_l = state
     mu = params.block_rate
     gamma = params.impatience
     sbar = params.mean_tx_size
     n_h, n_l = params.n_users_high, params.n_users_low
-    scb = (params.system_storage_per_byte
-           if system_cost_per_byte is None else system_cost_per_byte)
 
     def wait_per_tx(fi, own_group_rate, other_fi, other_rate):
         above = other_rate if other_fi > fi else 0.0
-        same = own_group_rate + (other_rate if other_fi == fi else 0.0)
-        mu1 = mu - above
-        mu2 = mu1 - same
-        if mu1 <= 0 or mu2 <= 0:
-            return math.inf
-        return mu / (mu1 * mu2)
+        through = above + own_group_rate + (other_rate if other_fi == fi else 0.0)
+        return sojourn(mu, above, through) if through < mu else math.inf
 
     w_h = wait_per_tx(fi_h, n_h * lam_h, fi_l, n_l * lam_l)
     w_l = wait_per_tx(fi_l, n_l * lam_l, fi_h, n_h * lam_h)
@@ -144,17 +126,9 @@ def _state_metrics(state, grid, params: SystemParams,
     u_h = payoff(params.utility_high, grid[fi_h], lam_h, w_h)
     u_l = payoff(params.utility_low, grid[fi_l], lam_l, w_l)
 
-    total = n_h * lam_h + n_l * lam_l
-    if gamma == 0.0 or total == 0.0:
-        wait_cost = 0.0
-    elif total >= mu:
-        wait_cost = math.inf
-    else:
-        # total accumulated waiting is priority-independent (Little's law)
-        wait_cost = gamma * total / (mu - total)
-    welfare = (n_h * lam_h * (params.utility_high - scb * sbar)
-               + n_l * lam_l * (params.utility_low - scb * sbar) - wait_cost)
+    welfare = float(welfare_rate(lam_h, lam_l, params, system_cost_per_byte))
 
+    total = n_h * lam_h + n_l * lam_l
     if total == 0.0:
         avg_fee = math.nan
     else:
@@ -168,47 +142,46 @@ def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
     """Round-robin best-response equilibrium of the no-tax fee game.
 
     Starts from (fee = C_s, rate = mu/N) for both types. On a best-response
-    cycle, returns the best-welfare state of the cycle with converged=False.
+    cycle, returns the best-welfare state of the cycle with converged=False
+    and the cycle's length in cycle_len.
     """
     require_valid(params)
     grid = _fee_grid(params, fee_grid_points)
     n_h, n_l = params.n_users_high, params.n_users_low
     cap = params.max_rate_per_user
+    scb = (params.system_storage_per_byte
+           if system_cost_per_byte is None else system_cost_per_byte)
 
     state = (0, cap, 0, cap)
     seen: dict[tuple, int] = {state: 0}
     history = [state]
-    converged = False
+    cycle_len = 0
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
         fi_h, lam_h, fi_l, lam_l = state
-        bi_h, bl_h, _ = _best_response(
-            params.utility_high, n_h,
-            [(fi_l, lam_l, n_l)], grid, params)
-        fi_h, lam_h = bi_h, bl_h
+        fi_h, lam_h, _ = _best_response(
+            params.utility_high, n_h, fi_l, n_l * lam_l, grid, params)
         bi_l, bl_l, _ = _best_response(
-            params.utility_low, n_l,
-            [(fi_h, lam_h, n_h)], grid, params)
+            params.utility_low, n_l, fi_h, n_h * lam_h, grid, params)
         new_state = (fi_h, lam_h, bi_l, bl_l)
         if new_state == state:
-            converged = True
+            cycle_len = 1
             break
         if new_state in seen:
             # cycle: keep the best-welfare state on it
             start = seen[new_state]
             cycle = history[start:]
-            state = max(
-                cycle,
-                key=lambda s: _state_metrics(s, grid, params, system_cost_per_byte)[4],
-            )
+            cycle_len = len(cycle)
+            welfare = welfare_rate(np.array([s[1] for s in cycle]),
+                                   np.array([s[3] for s in cycle]), params, scb)
+            state = cycle[int(np.argmax(welfare))]
             break
         seen[new_state] = len(history)
         history.append(new_state)
         state = new_state
 
-    w_h, w_l, u_h, u_l, welfare, avg_fee = _state_metrics(
-        state, grid, params, system_cost_per_byte)
+    w_h, w_l, u_h, u_l, welfare, avg_fee = _state_metrics(state, grid, params, scb)
     fi_h, lam_h, fi_l, lam_l = state
     return ExistingOutcome(
         fee_high_type=float(grid[fi_h]),
@@ -221,9 +194,10 @@ def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
         payoff_low=u_l,
         avg_fee_per_byte=avg_fee,
         welfare=welfare,
-        converged=converged,
+        converged=cycle_len == 1,
         iterations=iterations,
         fee_grid_points=fee_grid_points,
+        cycle_len=cycle_len,
     )
 
 
@@ -235,12 +209,10 @@ def verify_existing(outcome: ExistingOutcome, params: SystemParams,
     fi_h = int(np.argmin(np.abs(grid - outcome.fee_high_type)))
     fi_l = int(np.argmin(np.abs(grid - outcome.fee_low_type)))
     lam_h, lam_l = outcome.rate_high_type, outcome.rate_low_type
-    bi_h, bl_h, _ = _best_response(
-        params.utility_high, n_h, [(fi_l, lam_l, n_l)], grid, params)
+    bi_h, bl_h, _ = _best_response(params.utility_high, n_h, fi_l, n_l * lam_l, grid, params)
     if bi_h != fi_h or abs(bl_h - lam_h) > eps * max(1.0, lam_h):
         return False
-    bi_l, bl_l, _ = _best_response(
-        params.utility_low, n_l, [(fi_h, lam_h, n_h)], grid, params)
+    bi_l, bl_l, _ = _best_response(params.utility_low, n_l, fi_h, n_h * lam_h, grid, params)
     if bi_l != fi_l or abs(bl_l - lam_l) > eps * max(1.0, lam_l):
         return False
     return True

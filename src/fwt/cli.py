@@ -134,6 +134,7 @@ SWEEP_COLUMNS = [
     "fwt_welfare", "existing_welfare", "improvement_pct",
     "fwt_payoff_h", "fwt_payoff_l", "existing_payoff_h", "existing_payoff_l",
     "fwt_jain", "existing_jain", "error",
+    "existing_converged", "existing_cycle_len",
 ]
 
 
@@ -191,6 +192,8 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 "existing_payoff_l": existing.payoff_low,
                 "fwt_jain": jain_index(fwt_payoffs),
                 "existing_jain": jain_index(ex_payoffs),
+                "existing_converged": existing.converged,
+                "existing_cycle_len": existing.cycle_len,
             })
         except Exception as exc:  # per-point failure, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -210,6 +213,10 @@ def cmd_sweep(args) -> int:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise InvalidInput(f"bad --range {args.range!r}, expected lo:hi")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidInput(f"bad --range {args.range!r}, bounds must be finite")
+    if args.steps < 1:
+        raise InvalidInput(f"--steps must be at least 1, got {args.steps}")
     rows = sweep_rows(params, args.axis, lo, hi, args.steps,
                       tax_split=args.tax_split)
     buf = io.StringIO()

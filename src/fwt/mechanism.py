@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import FeeMenu, HeteroCostParams, SystemParams, TaxVector, require_valid
+from .queue import by_role, split_roles, welfare_rate
 from .user_game import (
     SneOutcome,
     _delta,
@@ -332,26 +333,15 @@ def unconstrained_optimum_oracle(params: SystemParams,
     """
     require_valid(params)
     r_h, r_l = params.utility_high, params.utility_low
-    mu = params.block_rate
     gamma = params.impatience
     sbar = params.mean_tx_size
     c_s = params.storage_cost_per_byte
-    n_h, n_l = params.n_users_high, params.n_users_low
-    scb = params.system_storage_per_byte
 
     fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
     q_grid = np.linspace(-r_h, r_h, grid_points)
     qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
-    h_high = (r_h - qh).ravel()
-    h_low = (r_l - ql).ravel()
-    b_is_high = h_high >= h_low
-    h_b = np.where(b_is_high, h_high, h_low)
-    h_s = np.where(b_is_high, h_low, h_high)
-    n_b = np.where(b_is_high, n_h, n_l)
-    n_s = np.where(b_is_high, n_l, n_h)
-
-    margin_h = r_h - scb * sbar
-    margin_l = r_l - scb * sbar
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(
+        (r_h - qh).ravel(), (r_l - ql).ravel(), params.n_users_high, params.n_users_low)
 
     def rates_at(fee: float):
         """Per-user rates (pi_B, pi_S) when everyone uses this fee."""
@@ -363,15 +353,8 @@ def unconstrained_optimum_oracle(params: SystemParams,
     delta = np.empty((grid_points, h_b.size))
     for f, fee in enumerate(fee_grid.tolist()):
         pi_b, pi_s = rates_at(fee)
-        lam_h = np.where(b_is_high, pi_b, pi_s)
-        lam_l = np.where(b_is_high, pi_s, pi_b)
-        lam = n_h * lam_h + n_l * lam_l
-        if gamma == 0.0:
-            wait_cost = 0.0
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
-        welfare[f] = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
+        lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
+        welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
         if fee < c_s:
             delta[f] = np.inf
         elif gamma == 0.0:
@@ -395,7 +378,7 @@ def unconstrained_optimum_oracle(params: SystemParams,
     i, j, k = best
     used = i if delta[j, k] > sbar * fee_grid[i] else j
     pi_b, pi_s = rates_at(float(fee_grid[used]))
-    lam_h, lam_l = (pi_b[k], pi_s[k]) if b_is_high[k] else (pi_s[k], pi_b[k])
+    lam_h, lam_l = by_role(b_is_high[k], pi_b[k], pi_s[k])
     return OracleResult(
         welfare=best_w,
         menu=FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j])),

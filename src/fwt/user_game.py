@@ -1,14 +1,10 @@
 """Stage-II transaction generation: waiting times, SNE rates, payoffs.
 
-Closed forms for the two-class preemptive-priority M/M/1 queue induced by
-the miners' fee-priority rule, the symmetric-equilibrium generation rates,
-the high-fee/low-fee equilibrium selection, and a grid best-response oracle
-that certifies the closed forms.
-
-The rate formulas are written against type-B (bigger net utility) and
-type-S (smaller net utility) and mapped back to types H/L at the end. All
-branch cores accept numpy arrays so parameter sweeps and the mechanism grid
-oracle can evaluate thousands of points per call.
+Per-user waiting over the fee-priority queue of `fwt.queue`, the
+symmetric-equilibrium generation rates, the high-fee/low-fee equilibrium
+selection, and a grid best-response oracle that certifies the closed forms.
+All branch cores accept numpy arrays so parameter sweeps and the mechanism
+grid oracle can evaluate thousands of points per call.
 """
 from __future__ import annotations
 
@@ -25,6 +21,7 @@ from .model import (
     SystemParams,
     TaxVector,
 )
+from .queue import _checked_sqrt, by_role, own_rate, sojourn, split_roles
 
 __all__ = [
     "NetUtilities",
@@ -39,9 +36,6 @@ __all__ = [
     "best_response_check",
 ]
 
-_SQRT_TOL = 1e-15
-
-
 # --- waiting time ----------------------------------------------------------
 
 def _accumulated_wait_rate(l1, l2, agg1, agg2, high_ok: bool, low_ok: bool, mu: float):
@@ -49,31 +43,19 @@ def _accumulated_wait_rate(l1, l2, agg1, agg2, high_ok: bool, low_ok: bool, mu: 
 
     l1/l2 are the user's own rates at the high/low fee, agg1/agg2 the
     system-wide rates including this user. high_ok/low_ok say whether each
-    fee class clears the miners' acceptance threshold. Scalar or array.
+    fee class clears the miners' acceptance threshold. Each class adds the
+    user's rate times the class sojourn: nothing without own traffic, inf
+    when the class is refused or saturated. Scalar or array.
     """
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
     agg1 = np.asarray(agg1, dtype=float)
-    agg2 = np.asarray(agg2, dtype=float)
-    inf = np.inf
+    tot = agg1 + agg2
     with np.errstate(divide="ignore", invalid="ignore"):
-        if low_ok:
-            # both classes eventually included; two-class preemptive M/M/1
-            t1 = np.where(l1 > 0, np.where(agg1 < mu, l1 / (mu - agg1), inf), 0.0)
-            tot = agg1 + agg2
-            t2 = np.where(
-                l2 > 0,
-                np.where((agg1 < mu) & (tot < mu),
-                         mu * l2 / ((mu - agg1) * (mu - tot)), inf),
-                0.0,
-            )
-            w = t1 + t2
-        elif high_ok:
-            # low-fee transactions never included
-            t1 = np.where(l1 > 0, np.where(agg1 < mu, l1 / (mu - agg1), inf), 0.0)
-            w = np.where(l2 > 0, inf, t1)
-        else:
-            w = np.where((l1 > 0) | (l2 > 0), inf, 0.0)
+        t1 = np.where(high_ok & (agg1 < mu), l1 * sojourn(mu, 0.0, agg1), np.inf)
+        t2 = np.where(low_ok & (agg1 < mu) & (tot < mu),
+                      l2 * sojourn(mu, agg1, tot), np.inf)
+        w = np.where(l1 > 0, t1, 0.0) + np.where(l2 > 0, t2, 0.0)
     if w.ndim == 0:
         return float(w)
     return w
@@ -95,7 +77,7 @@ def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
     )
 
 
-# --- net utilities and B/S roles -------------------------------------------
+# --- net utilities -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class NetUtilities:
@@ -103,53 +85,15 @@ class NetUtilities:
 
     h_high: float
     h_low: float
-    n_users_high: int
-    n_users_low: int
-
-    @property
-    def b_is_high(self) -> bool:
-        # ties resolve to B = H
-        return self.h_high >= self.h_low
-
-    @property
-    def h_b(self) -> float:
-        return self.h_high if self.b_is_high else self.h_low
-
-    @property
-    def h_s(self) -> float:
-        return self.h_low if self.b_is_high else self.h_high
-
-    @property
-    def n_b(self) -> int:
-        return self.n_users_high if self.b_is_high else self.n_users_low
-
-    @property
-    def n_s(self) -> int:
-        return self.n_users_low if self.b_is_high else self.n_users_high
 
 
 def net_utilities(params: SystemParams, tax: TaxVector) -> NetUtilities:
     """On-chain utility minus total per-transaction tax outflow, per type."""
     q_h, q_l = tax.row_sums(params)
-    return NetUtilities(
-        h_high=params.utility_high - q_h,
-        h_low=params.utility_low - q_l,
-        n_users_high=params.n_users_high,
-        n_users_low=params.n_users_low,
-    )
+    return NetUtilities(h_high=params.utility_high - q_h, h_low=params.utility_low - q_l)
 
 
 # --- SNE generation rates ---------------------------------------------------
-
-def _checked_sqrt(arg, selected):
-    """sqrt with tiny-negative clamping; beyond-tolerance negatives on a
-    selected branch indicate a branch-selection bug and raise."""
-    arg = np.asarray(arg, dtype=float)
-    bad = selected & (arg < -_SQRT_TOL)
-    if np.any(bad):
-        raise ValueError("negative square-root argument on an active branch")
-    return np.sqrt(np.maximum(arg, 0.0))
-
 
 def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
     """Equilibrium per-user rates (pi_B, pi_S) at a single active fee.
@@ -183,14 +127,7 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
     active = ~cond_none
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # only-B rate: positive root of N_B*(h_B - s*rho)*x^2
-        # - gamma*(N_B - 1)*x - gamma*mu = 0 in the residual capacity x
-        arg1 = gamma**2 * (n_b - 1.0) ** 2 + 4.0 * gamma * mu * n_b * margin_b
-        root1 = _checked_sqrt(arg1, active)
-        only_b = np.minimum(
-            mu / n_b - (gamma * (n_b - 1.0) + root1) / (2.0 * n_b**2 * margin_b),
-            cap,
-        )
+        only_b = np.minimum(own_rate(n_b, margin_b, gamma, mu, active), cap)
         cond_only_b = active & (h_s <= s_rho + gamma / (mu - n_b * only_b))
         cond_both = active & ~cond_only_b
 
@@ -207,12 +144,7 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
         pi_b = np.where(cond_none, 0.0, np.where(cond_only_b, only_b, both_b))
         pi_b = np.maximum(pi_b, 0.0)
 
-        mu_rem = mu - n_b * pi_b
-        arg3 = gamma**2 * (n_s - 1.0) ** 2 + 4.0 * n_s * margin_s * gamma * mu_rem
-        root3 = _checked_sqrt(arg3, cond_both)
-        pi_s_both = mu_rem / n_s - (gamma * (n_s - 1.0) + root3) / (
-            2.0 * margin_s * n_s**2
-        )
+        pi_s_both = own_rate(n_s, margin_s, gamma, mu - n_b * pi_b, cond_both)
         pi_s = np.where(cond_both, pi_s_both, 0.0)
         pi_s = np.maximum(pi_s, 0.0)
 
@@ -223,7 +155,9 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
 
 def sne_rates(nu: NetUtilities, rho: float, params: SystemParams) -> tuple[float, float]:
     """Per-user SNE rates (pi_B, pi_S) when everyone generates at fee rho."""
-    return _pi_rates(nu.h_b, nu.h_s, rho, nu.n_b, nu.n_s, params)
+    _, h_b, h_s, n_b, n_s = split_roles(nu.h_high, nu.h_low,
+                                        params.n_users_high, params.n_users_low)
+    return _pi_rates(h_b, h_s, rho, n_b, n_s, params)
 
 
 def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams):
@@ -296,13 +230,8 @@ def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
     collapses to the remaining fee or to no generation at all.
     """
     c_s = params.storage_cost_per_byte
-    h_high = np.asarray(h_high, dtype=float)
-    h_low = np.asarray(h_low, dtype=float)
-    b_is_high = h_high >= h_low
-    h_b = np.where(b_is_high, h_high, h_low)
-    h_s = np.where(b_is_high, h_low, h_high)
-    n_b = np.where(b_is_high, params.n_users_high, params.n_users_low)
-    n_s = np.where(b_is_high, params.n_users_low, params.n_users_high)
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
+                                                params.n_users_low)
 
     shape = h_b.shape
     if menu.rho_high < c_s:
@@ -327,8 +256,7 @@ def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
         else:
             pi_b, pi_s = pib_lo, pis_lo
 
-    lam_h = np.where(b_is_high, pi_b, pi_s)
-    lam_l = np.where(b_is_high, pi_s, pi_b)
+    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
     return lam_h, lam_l, use_high
 
 
@@ -364,15 +292,14 @@ def sne_select(nu: NetUtilities, menu: FeeMenu, params: SystemParams) -> SneOutc
 
 # --- payoffs -----------------------------------------------------------------
 
-def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
-                tax: TaxVector, params: SystemParams) -> float:
-    """Time-average payoff of one user of the given type.
+def _payoff_before_inflow(user_type: str, l1, l2, agg1, agg2, menu: FeeMenu,
+                          tax: TaxVector, params: SystemParams):
+    """On-chain utility of one user's included transactions less their fee,
+    tax outflow and the user's waiting cost. Scalar or array.
 
-    Includes on-chain utility, fee and tax outflow on the user's included
-    transactions, waiting cost, and tax inflow from every other user's
-    included transactions.
+    l1/l2 are the user's own rates at the high/low fee, agg1/agg2 the
+    system-wide rates including this user.
     """
-    own = outcome.profile.rates_for(user_type)
     c_s = params.storage_cost_per_byte
     sbar = params.mean_tx_size
     gamma = params.impatience
@@ -384,13 +311,31 @@ def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
 
     util = 0.0
     if incl_hi:
-        util += own.rate_high * (r_n - sbar * menu.rho_high - q_out)
+        util = util + l1 * (r_n - sbar * menu.rho_high - q_out)
     if incl_lo:
-        util += own.rate_low * (r_n - sbar * menu.rho_low - q_out)
+        util = util + l2 * (r_n - sbar * menu.rho_low - q_out)
+    if gamma == 0.0:
+        return util
+    return util - gamma * _accumulated_wait_rate(l1, l2, agg1, agg2, incl_hi, incl_lo,
+                                                 params.block_rate)
 
-    w = waiting_rate(user_type, outcome.profile, menu, params)
-    wait_cost = 0.0 if gamma == 0.0 else gamma * w
 
+def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
+                tax: TaxVector, params: SystemParams) -> float:
+    """Time-average payoff of one user of the given type.
+
+    Includes on-chain utility, fee and tax outflow on the user's included
+    transactions, waiting cost, and tax inflow from every other user's
+    included transactions.
+    """
+    own = outcome.profile.rates_for(user_type)
+    agg1, agg2 = outcome.profile.aggregate(params)
+    payoff = _payoff_before_inflow(user_type, own.rate_high, own.rate_low, agg1, agg2,
+                                   menu, tax, params)
+
+    c_s = params.storage_cost_per_byte
+    incl_hi = menu.rho_high >= c_s
+    incl_lo = menu.rho_low >= c_s
     rates_h = outcome.profile.rates_high_type
     rates_l = outcome.profile.rates_low_type
     incl_h_tot = (rates_h.rate_high if incl_hi else 0.0) + (rates_h.rate_low if incl_lo else 0.0)
@@ -401,7 +346,7 @@ def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
     else:
         inflow = n_h * incl_h_tot * tax.p_hl + (n_l - 1) * incl_l_tot * tax.p_ll
 
-    return util - wait_cost + inflow
+    return payoff + inflow
 
 
 def with_payoffs(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
@@ -427,41 +372,6 @@ class UserDeviation:
     sne_payoff: float
 
 
-def _deviator_payoff(l1, l2, user_type: str, outcome: SneOutcome, menu: FeeMenu,
-                     tax: TaxVector, params: SystemParams):
-    """Payoff of a single deviating user, excluding the (constant) tax inflow.
-
-    The crowd stays at the SNE profile; the deviator's own rates replace one
-    user of the given type in the aggregates.
-    """
-    own = outcome.profile.rates_for(user_type)
-    agg1, agg2 = outcome.profile.aggregate(params)
-    o1 = agg1 - own.rate_high
-    o2 = agg2 - own.rate_low
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-
-    c_s = params.storage_cost_per_byte
-    sbar = params.mean_tx_size
-    gamma = params.impatience
-    incl_hi = menu.rho_high >= c_s
-    incl_lo = menu.rho_low >= c_s
-    r_n = params.utility_high if user_type == "H" else params.utility_low
-    q_h, q_l = tax.row_sums(params)
-    q_out = q_h if user_type == "H" else q_l
-
-    util = np.zeros_like(l1)
-    if incl_hi:
-        util = util + l1 * (r_n - sbar * menu.rho_high - q_out)
-    if incl_lo:
-        util = util + l2 * (r_n - sbar * menu.rho_low - q_out)
-
-    w = _accumulated_wait_rate(l1, l2, o1 + l1, o2 + l2, incl_hi, incl_lo,
-                               params.block_rate)
-    wait_cost = 0.0 if gamma == 0.0 else gamma * np.asarray(w)
-    return util - wait_cost
-
-
 def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
                         params: SystemParams, grid: int = 101,
                         eps: float | None = None) -> UserDeviation | None:
@@ -477,10 +387,19 @@ def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
     g1, g2 = np.meshgrid(xs, xs, indexing="ij")
     feasible = g1 + g2 <= cap * (1.0 + 1e-12)
 
+    agg1, agg2 = outcome.profile.aggregate(params)
     for user_type in ("H", "L"):
         own = outcome.profile.rates_for(user_type)
-        u0 = float(_deviator_payoff(own.rate_high, own.rate_low, user_type,
-                                    outcome, menu, tax, params))
+        # the crowd holds the SNE profile; the deviator's own rates replace
+        # one user of this type, and its tax inflow does not depend on them
+        o1 = agg1 - own.rate_high
+        o2 = agg2 - own.rate_low
+
+        def payoff(l1, l2):
+            return _payoff_before_inflow(user_type, l1, l2, o1 + l1, o2 + l2,
+                                         menu, tax, params)
+
+        u0 = float(payoff(own.rate_high, own.rate_low))
         if eps is not None:
             tol = eps
         elif math.isfinite(u0):
@@ -488,7 +407,7 @@ def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
         else:
             # infinitely bad base point: any finite improvement counts
             tol = 0.0
-        u = _deviator_payoff(g1, g2, user_type, outcome, menu, tax, params)
+        u = payoff(g1, g2)
         u = np.where(feasible, u, -np.inf)
         idx = np.unravel_index(int(np.nanargmax(u)), u.shape)
         gain = float(u[idx]) - u0

@@ -2,10 +2,65 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwt.baseline import existing_equilibrium, verify_existing
+from fwt.baseline import _fee_grid, existing_equilibrium, verify_existing
 from fwt.mechanism import induced_outcome, optimal_mechanism, social_welfare
 from fwt.model import SystemParams
+from fwt.queue import own_rate
+
+
+def _reference_rate(n_own, margin, mu1, free, gamma, mu):
+    """The baseline's within-type rate as written before it moved to
+    fwt.queue.own_rate, kept as the reference: the residual x solves
+    n*(R - s*f)*(mu - A)*x^2 - gamma*mu*(n - 1)*x - gamma*mu*free = 0."""
+    a = n_own * margin * mu1
+    b = gamma * mu * (n_own - 1)
+    c = gamma * mu * free
+    x = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return (free - x) / n_own
+
+
+def _assert_same_rate(n_own, margin, mu1, free, gamma, mu):
+    core = own_rate(n_own, margin, gamma * mu / mu1, free, True)
+    ref = _reference_rate(n_own, margin, mu1, free, gamma, mu)
+    # the rate is (free - x)/n, so its rounding scales with free/n
+    np.testing.assert_allclose(core, ref, rtol=1e-12, atol=1e-12 * np.max(free) / n_own)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_own=st.integers(1, 300_000),
+    margin=st.floats(1e-7, 1e-2),
+    above=st.sampled_from([0.0]) | st.floats(0.0, 0.99),
+    same=st.sampled_from([0.0]) | st.floats(0.0, 0.99),
+    gamma=st.floats(1e-7, 1e-1),
+)
+def test_own_rate_matches_baseline_reference(n_own, margin, above, same, gamma):
+    """The shared rate root with gamma scaled by mu/(mu - above) against
+    the baseline's own quadratic, with and without higher-fee and same-fee
+    traffic (fractions of mu = 15)."""
+    mu = 15.0
+    mu1 = mu - above * mu
+    free = mu1 - same * mu1
+    _assert_same_rate(n_own, margin, mu1, free, gamma, mu)
+
+
+@pytest.mark.parametrize("other_fi", [0, 7, 120])
+def test_own_rate_matches_baseline_reference_on_fee_grid(table_params, other_fi):
+    """The array path, as _best_response calls it: every fee of the grid
+    with a positive margin, behind a competitor at one grid fee."""
+    p = table_params
+    grid = _fee_grid(p, 200)
+    mu = p.block_rate
+    margin = p.utility_high - p.mean_tx_size * grid
+    above = np.where(np.arange(200) < other_fi, 6.0, 0.0)
+    same = np.where(np.arange(200) == other_fi, 6.0, 0.0)
+    keep = margin > 0
+    mu1 = (mu - above)[keep]
+    _assert_same_rate(100, margin[keep], mu1, mu1 - same[keep], p.impatience, mu)
 
 
 def test_lone_competitor_settles_at_grid_minimum():

@@ -87,7 +87,13 @@ def test_sweep_gamma_csv(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
     assert len(rows) == 4
     assert list(rows[0]) == SWEEP_COLUMNS
+    assert SWEEP_COLUMNS[-3:] == ["error", "existing_converged", "existing_cycle_len"]
     assert all(r["error"] == "" for r in rows)
+    # the baseline reports how it ended: a fixed point is a 1-cycle
+    for r in rows:
+        assert r["existing_converged"] in ("True", "False")
+        assert int(r["existing_cycle_len"]) >= 0
+        assert (r["existing_converged"] == "True") == (r["existing_cycle_len"] == "1")
     # every row re-derivable: welfare positive, bound constant
     for r in rows:
         assert float(r["storage_bound"]) == 5e-6
@@ -118,9 +124,19 @@ def test_sweep_rows_rederivable_by_solve(capsys):
                                                           rel=1e-12)
 
 
-def test_sweep_bad_range(capsys):
-    code, _, err = run_cli(["sweep", "--axis", "gamma", "--range", "oops"], capsys)
+@pytest.mark.parametrize("bad", [
+    ["--range", "oops"],
+    ["--range", "0:nan"],
+    ["--range", "0:inf"],
+    ["--range=-inf:1e-3"],
+    ["--steps", "0"],
+    ["--steps", "-3"],
+], ids=["syntax", "nan", "inf", "minus-inf", "zero-steps", "negative-steps"])
+def test_sweep_bad_range(bad, capsys):
+    code, out, err = run_cli(["sweep", "--axis", "gamma"] + bad, capsys)
     assert code == 2
+    assert out == ""
+    assert "invalid input" in err
 
 
 def test_sweep_cost_ratio(capsys):

@@ -4,9 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fwt.model import FeeMenu, RatePair, SneKind, StrategyProfile, SystemParams, TaxVector
+from fwt.queue import split_roles
 from fwt.user_game import (
+    _accumulated_wait_rate,
     _pi_rates,
     best_response_check,
     net_utilities,
@@ -65,13 +69,79 @@ def test_high_class_unaffected_by_low_saturation():
     assert math.isinf(waiting_rate("L", prof, BOTH_OK, p))
 
 
+def _reference_wait_rate(l1, l2, agg1, agg2, high_ok, low_ok, mu):
+    """The per-user wait as written before the sojourn moved to fwt.queue,
+    kept as the reference for the merged core."""
+    l1, l2, agg1, agg2 = (np.asarray(v, dtype=float) for v in (l1, l2, agg1, agg2))
+    inf = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if low_ok:
+            t1 = np.where(l1 > 0, np.where(agg1 < mu, l1 / (mu - agg1), inf), 0.0)
+            tot = agg1 + agg2
+            t2 = np.where(l2 > 0, np.where((agg1 < mu) & (tot < mu),
+                                           mu * l2 / ((mu - agg1) * (mu - tot)), inf), 0.0)
+            w = t1 + t2
+        elif high_ok:
+            t1 = np.where(l1 > 0, np.where(agg1 < mu, l1 / (mu - agg1), inf), 0.0)
+            w = np.where(l2 > 0, inf, t1)
+        else:
+            w = np.where((l1 > 0) | (l2 > 0), inf, 0.0)
+    return w
+
+
+def _assert_same_wait(core, ref):
+    core, ref = np.broadcast_arrays(np.asarray(core, dtype=float), ref)
+    assert np.array_equal(np.isinf(core), np.isinf(ref))
+    finite = ~np.isinf(ref)
+    np.testing.assert_allclose(core[finite], ref[finite], rtol=1e-12, atol=0.0)
+
+
+_MENUS = [(True, True), (True, False), (False, False)]  # (high_ok, low_ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(0.5, 50.0),
+    own=st.tuples(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-12, 1.0),
+                  st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-12, 1.0)),
+    crowd=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)),
+    menu=st.sampled_from(_MENUS),
+)
+# saturation: the high class, then the whole queue, carries exactly mu
+@example(mu=4.0, own=(0.25, 0.25), crowd=(0.75, 0.0), menu=(True, True))
+@example(mu=4.0, own=(0.25, 0.25), crowd=(0.25, 0.25), menu=(True, True))
+def test_wait_core_matches_reference(mu, own, crowd, menu):
+    """One user's wait on the merged sojourn against the previous per-class
+    forms: zero own rates, refused classes, saturation and higher-fee
+    traffic. Loads are fractions of mu."""
+    l1, l2 = own[0] * mu, own[1] * mu
+    agg1, agg2 = l1 + crowd[0] * mu, l2 + crowd[1] * mu
+    _assert_same_wait(_accumulated_wait_rate(l1, l2, agg1, agg2, *menu, mu),
+                      _reference_wait_rate(l1, l2, agg1, agg2, *menu, mu))
+
+
+@pytest.mark.parametrize("menu", _MENUS)
+def test_wait_core_matches_reference_on_deviation_grid(menu):
+    """The array path, as best_response_check calls it: one user's rates
+    over a grid that reaches past saturation, behind a fixed crowd."""
+    mu = 15.0
+    xs = np.linspace(0.0, mu, 61)
+    l1, l2 = np.meshgrid(xs, xs, indexing="ij")
+    agg1, agg2 = 3.0 + l1, 6.0 + l2
+    core = _accumulated_wait_rate(l1, l2, agg1, agg2, *menu, mu)
+    ref = _reference_wait_rate(l1, l2, agg1, agg2, *menu, mu)
+    assert np.isinf(ref).any() and (ref == 0.0).any()
+    _assert_same_wait(core, ref)
+
+
 # --- net utilities --------------------------------------------------------------
 
 def test_net_utilities_zero_tax(table_params):
     nu = net_utilities(table_params, TaxVector.zero())
     assert nu.h_high == table_params.utility_high
     assert nu.h_low == table_params.utility_low
-    assert nu.b_is_high  # ties and higher-H both resolve to B = H
+    b_is_high, *_ = split_roles(nu.h_high, nu.h_low, 100, 100)
+    assert b_is_high  # ties and higher-H both resolve to B = H
 
 
 def test_net_utilities_role_swap():
@@ -82,8 +152,10 @@ def test_net_utilities_role_swap():
     nu = net_utilities(p, tax)
     assert nu.h_high == pytest.approx(0.4)
     assert nu.h_low == pytest.approx(0.6)
-    assert not nu.b_is_high
-    assert nu.n_b == p.n_users_low
+    b_is_high, _, _, n_b, _ = split_roles(nu.h_high, nu.h_low,
+                                          p.n_users_high, p.n_users_low)
+    assert not b_is_high
+    assert n_b == p.n_users_low
 
 
 def test_net_utilities_single_high_user_ignores_own_type_tax():
@@ -126,7 +198,8 @@ def test_rates_both_types_generate_and_satisfy_optimality(table_params):
     nu = net_utilities(table_params, TaxVector.zero())  # h = (1.8e-3, 9e-4)
     pi_b, pi_s = sne_rates(nu, rho, table_params)
     assert 0 < pi_s < pi_b <= table_params.max_rate_per_user
-    rb, rs = _foc_residuals(pi_b, pi_s, nu.h_b, nu.h_s, rho, table_params)
+    _, h_b, h_s, _, _ = split_roles(nu.h_high, nu.h_low, 100, 100)
+    rb, rs = _foc_residuals(pi_b, pi_s, h_b, h_s, rho, table_params)
     assert pi_b == pytest.approx(table_params.max_rate_per_user, rel=1e-12)
     assert rb > 0.0  # cap binds: marginal value of generating still positive
     assert abs(rs) < 1e-12
@@ -139,7 +212,8 @@ def test_rates_interior_focs_hold_when_cap_slack(table_params):
     nu = net_utilities(p, TaxVector.zero())
     pi_b, pi_s = sne_rates(nu, rho, p)
     assert 0 < pi_s <= pi_b + 1e-15 and pi_b < p.max_rate_per_user
-    rb, rs = _foc_residuals(pi_b, pi_s, nu.h_b, nu.h_s, rho, p)
+    _, h_b, h_s, _, _ = split_roles(nu.h_high, nu.h_low, 100, 100)
+    rb, rs = _foc_residuals(pi_b, pi_s, h_b, h_s, rho, p)
     assert abs(rb) < 1e-12 and abs(rs) < 1e-12
 
 
