@@ -1,4 +1,4 @@
-"""Discrete-event Monte Carlo simulator of the full pipeline.
+"""Monte Carlo simulator of the full pipeline.
 
 Poisson per-user-per-class transaction arrivals, exponential block
 inter-arrival times, and the equilibrium selection rule (highest
@@ -6,6 +6,15 @@ fee-per-byte, earliest generation, included only when the fee covers a
 single miner's per-byte storage cost) applied at every block instant.
 Serves as the independent oracle for the waiting-time formulas, user
 payoffs and welfare.
+
+Method: every block includes one transaction and each fee class is FIFO,
+so each class is a Lindley reflected walk over its arrivals and the blocks
+it may use, solved in closed form by `_fifo_served`. The high class runs
+on every block; the low class runs on the blocks the high class left
+empty. A class whose fee is below the storage cost is never served, and
+its arrivals stay pending until the horizon (censored). Tie rule: a block
+sees only the transactions generated strictly before it, and equal
+generation times queue in user order.
 
 Reproducibility: one root seed spawns one deterministic substream per
 random source (block process, winner draws, then one per user-class), so
@@ -17,8 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -48,12 +57,11 @@ class SimConfig:
     replications: int = 10
     # optional per-user override (deviation experiments); length N
     per_user_rates: tuple[RatePair, ...] | None = None
-    size_exponential: bool = False   # default: every tx exactly mean size
     log_events: bool = False
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not (0.0 <= self.warmup <= 0.5):
             raise ValueError("warmup must be in [0, 0.5]")
         if self.replications < 1:
@@ -87,21 +95,32 @@ def _poisson_arrivals(gen: np.random.Generator, rate: float, horizon: float) -> 
     return times[times <= horizon]
 
 
+def _fifo_served(arrivals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Indices of the blocks that serve a FIFO class, one transaction each.
+
+    `arrivals` and `blocks` are sorted times, and the i-th returned block
+    serves the i-th arrival. A block sees only the arrivals strictly before
+    it. With A_k arrivals before block k (0-based), the departures after
+    block k are D_k = k + min(1, min_{j<=k} (A_j - j)), Lindley's reflected
+    walk, so block k serves exactly when D_k > D_{k-1}.
+    """
+    k = np.arange(len(blocks))
+    before = np.searchsorted(arrivals, blocks, side="left")
+    departed = k + np.minimum(1, np.minimum.accumulate(before - k))
+    return np.flatnonzero(np.diff(departed, prepend=0))
+
+
 @dataclass
 class _RepResult:
     wait_rate: np.ndarray        # per user, post-warmup window
     payoff: np.ndarray           # per user
     welfare: float
-    fees_debited: float
-    fees_credited: float
-    taxes_paid: float
-    taxes_received: float
+    fees_total: float
+    taxes_total: float
     blocks_total: int
     blocks_empty: int
-    included_high: int
-    included_low: int
-    generated_high: int
-    generated_low: int
+    included: np.ndarray         # post-warmup inclusions, per class
+    generated: np.ndarray        # per class
     censored_count: np.ndarray   # per user
     censored_wait: np.ndarray    # per user
     events: list | None
@@ -127,107 +146,47 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence) -> _Re
     winners = np.searchsorted(power_cdf, winner_gen.random(n_blocks), side="right")
     winners = np.minimum(winners, params.n_miners - 1)
 
+    # one stream per (user, class), class 0 = high fee, 1 = low fee; every
+    # transaction is exactly the mean size
     stream_times = []
-    stream_sizes = []
-    stream_ids = []
-    for user in range(n):
-        for cls in (0, 1):  # 0 = high fee, 1 = low fee
-            gen = np.random.Generator(np.random.PCG64(children[2 + 2 * user + cls]))
-            rate = rates[user].rate_high if cls == 0 else rates[user].rate_low
-            times = _poisson_arrivals(gen, rate, horizon)
-            if config.size_exponential:
-                sizes = sbar * (-np.log1p(-gen.random(len(times))))
-            else:
-                sizes = np.full(len(times), sbar)
-            stream_times.append(times)
-            stream_sizes.append(sizes)
-            stream_ids.append(np.full(len(times), 2 * user + cls, dtype=np.int64))
+    for u in range(n):
+        for c, rate in enumerate((rates[u].rate_high, rates[u].rate_low)):
+            gen = np.random.Generator(np.random.PCG64(children[2 + 2 * u + c]))
+            stream_times.append(_poisson_arrivals(gen, rate, horizon))
+    times = np.concatenate(stream_times)
+    user, cls = np.divmod(
+        np.repeat(np.arange(2 * n), [len(t) for t in stream_times]), 2)
+    by_time = np.argsort(times, kind="stable")   # ties in user order
 
-    ev_time = np.concatenate([block_times] + stream_times)
-    ev_stream = np.concatenate(
-        [np.full(n_blocks, -1, dtype=np.int64)] + stream_ids)
-    ev_size = np.concatenate([np.zeros(n_blocks)] + stream_sizes)
-    order = np.argsort(ev_time, kind="stable")
-
-    hi_ok = menu.rho_high >= c_s
-    lo_ok = menu.rho_low >= c_s
-    q_hi: deque = deque()
-    q_lo: deque = deque()
+    # the high class runs on every block, the low class on the blocks left
+    served_tx = np.full(n_blocks, -1)
+    unserved = []
+    free = np.arange(n_blocks)
+    for c, ok in enumerate((menu.rho_high >= c_s, menu.rho_low >= c_s)):
+        fifo = by_time[cls[by_time] == c]
+        served = _fifo_served(times[fifo], block_times[free]) if ok else free[:0]
+        served_tx[free[served]] = fifo[:len(served)]
+        unserved.append(fifo[len(served):])
+        free = np.delete(free, served)
 
     t_start = config.warmup * horizon
     window = horizon - t_start
-    incl_cnt = np.zeros(n)
-    wait_sum = np.zeros(n)
-    fee_paid = np.zeros(n)
-    size_incl = np.zeros(n)
-    incl_cls = [0, 0]
-    gen_cls = [0, 0]
-    tx_counter = np.zeros(n, dtype=np.int64)
-    log_user: list[int] = []
-    log_fee: list[float] = []
-    log_winner: list[int] = []
-    events = [] if config.log_events else None
+    block = np.flatnonzero(served_tx >= 0)      # serving blocks in block order
+    blocks_empty = n_blocks - len(block)
+    tx = served_tx[block]
+    amount = sbar * np.where(cls[tx] == 0, menu.rho_high, menu.rho_low)
+    post = times[tx] >= t_start
+    block, tx, post_amount = block[post], tx[post], amount[post]
+    payer = user[tx]
+    incl_cnt = np.bincount(payer, minlength=n).astype(float)
+    wait_sum = np.bincount(payer, block_times[block] - times[tx], minlength=n)
+    fee_paid = np.bincount(payer, post_amount, minlength=n)
+    size_incl = np.bincount(payer, np.full(len(tx), float(sbar)), minlength=n)
 
-    block_id = 0
-    blocks_empty = 0
-    for k in order:
-        t = float(ev_time[k])
-        s = int(ev_stream[k])
-        if s < 0:
-            winner = int(winners[block_id])
-            entry = None
-            fee = 0.0
-            cls = -1
-            if hi_ok and q_hi:
-                entry = q_hi.popleft()
-                fee = menu.rho_high
-                cls = 0
-            elif lo_ok and q_lo:
-                entry = q_lo.popleft()
-                fee = menu.rho_low
-                cls = 1
-            if entry is None:
-                blocks_empty += 1
-                if events is not None:
-                    events.append((t, "block", -1, -1, 0.0, block_id, winner))
-                block_id += 1
-                continue
-            gen_t, user, size, tx_idx = entry
-            amount = size * fee
-            log_user.append(user)
-            log_fee.append(amount)
-            log_winner.append(winner)
-            if gen_t >= t_start:
-                incl_cnt[user] += 1
-                wait_sum[user] += t - gen_t
-                fee_paid[user] += amount
-                size_incl[user] += size
-                incl_cls[cls] += 1
-            if events is not None:
-                events.append((t, "include", user, tx_idx, fee, block_id, winner))
-            block_id += 1
-        else:
-            user, cls = divmod(s, 2)
-            size = float(ev_size[k])
-            tx_idx = int(tx_counter[user])
-            tx_counter[user] += 1
-            gen_cls[cls] += 1
-            entry = (t, user, size, tx_idx)
-            if cls == 0:
-                q_hi.append(entry)
-            else:
-                q_lo.append(entry)
-            if events is not None:
-                fee = menu.rho_high if cls == 0 else menu.rho_low
-                events.append((t, "gen", user, tx_idx, fee, -1, -1))
-
-    censored_cnt = np.zeros(n)
-    censored_wait = np.zeros(n)
-    for q in (q_hi, q_lo):
-        for gen_t, user, size, tx_idx in q:
-            if gen_t >= t_start:
-                censored_cnt[user] += 1
-                censored_wait[user] += horizon - gen_t
+    left = np.concatenate(unserved)
+    left = left[times[left] >= t_start]
+    censored_cnt = np.bincount(user[left], minlength=n).astype(float)
+    censored_wait = np.bincount(user[left], horizon - times[left], minlength=n)
 
     # per-user payoffs over the stats window
     n_h = params.n_users_high
@@ -252,42 +211,67 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence) -> _Re
     storage_total = params.n_miners * c_s * float(size_incl.sum())
     welfare = float(payoff.sum()) + (fee_window_total - storage_total) / window
 
-    # conservation totals: exact sums of the same addend multiset in two
-    # groupings (user side vs miner side / payer side vs payee side)
-    fee_arr = np.asarray(log_fee)
-    user_arr = np.asarray(log_user, dtype=np.int64)
-    winner_arr = np.asarray(log_winner, dtype=np.int64)
-    if len(fee_arr):
-        fees_debited = math.fsum(fee_arr[np.argsort(user_arr, kind="stable")])
-        fees_credited = math.fsum(fee_arr[np.argsort(winner_arr, kind="stable")])
-    else:
-        fees_debited = fees_credited = 0.0
-
-    p_matrix = np.array([[tax.p_hh, tax.p_hl], [tax.p_lh, tax.p_ll]])
+    # Transfer totals, each correctly rounded. User u pays incl_cnt[u] *
+    # P[type u][type v] to every other user v, so the tax total weights each
+    # distinct one of the N x 2 amounts by its number of payees and sums
+    # exactly.
     type_idx = (~is_high).astype(int)
-    amounts = incl_cnt[:, None] * p_matrix[type_idx][:, type_idx]
-    off_diag = ~np.eye(n, dtype=bool)
-    taxes_paid = math.fsum(amounts[off_diag])
-    taxes_received = math.fsum(amounts.T[off_diag])
+    p_matrix = np.array([[tax.p_hh, tax.p_hl], [tax.p_lh, tax.p_ll]])
+    amounts = incl_cnt[:, None] * p_matrix[type_idx]
+    payees = np.array([n_h, n - n_h]) - (type_idx[:, None] == np.arange(2))
+    values, group = np.unique(amounts, return_inverse=True)
+    weights = np.bincount(group.ravel(), payees.ravel()).astype(np.int64)
+    taxes_total = float(sum((Fraction(v) * w for v, w in zip(values.tolist(),
+                                                             weights.tolist())),
+                            Fraction(0)))
 
+    events = None
+    if config.log_events:
+        events = _event_log(block_times, winners, times, user, cls, served_tx,
+                            (menu.rho_high, menu.rho_low))
     return _RepResult(
         wait_rate=wait_rate,
         payoff=payoff,
         welfare=welfare,
-        fees_debited=fees_debited,
-        fees_credited=fees_credited,
-        taxes_paid=taxes_paid,
-        taxes_received=taxes_received,
+        fees_total=math.fsum(amount.tolist()),
+        taxes_total=taxes_total,
         blocks_total=n_blocks,
         blocks_empty=blocks_empty,
-        included_high=incl_cls[0],
-        included_low=incl_cls[1],
-        generated_high=gen_cls[0],
-        generated_low=gen_cls[1],
+        included=np.bincount(cls[tx], minlength=2),
+        generated=np.bincount(cls, minlength=2),
         censored_count=censored_cnt,
         censored_wait=censored_wait,
         events=events,
     )
+
+
+def _event_log(block_times, winners, times, user, cls, served_tx, rho) -> list:
+    """Rows (time, kind, user, tx_index, fee_per_byte, block_id, winner) in
+    event order; at equal times a block precedes the arrivals."""
+    # tx_index counts a user's arrivals in event order; each user's streams
+    # are contiguous in `times`, high class first
+    own = np.lexsort((times, user))
+    tx_index = np.empty(len(times), dtype=np.int64)
+    tx_index[own] = np.arange(len(own)) - np.searchsorted(user, user[own])
+    n_blocks = len(block_times)
+    when = np.concatenate([block_times, times])
+    order = np.argsort(when, kind="stable")
+    when, user, tx_index, cls = (when.tolist(), user.tolist(), tx_index.tolist(),
+                                 cls.tolist())
+    winners, served_tx = winners.tolist(), served_tx.tolist()
+    events = []
+    for k in order.tolist():
+        if k < n_blocks:
+            a = served_tx[k]
+            if a < 0:
+                events.append((when[k], "block", -1, -1, 0.0, k, winners[k]))
+            else:
+                events.append((when[k], "include", user[a], tx_index[a], rho[cls[a]],
+                               k, winners[k]))
+        else:
+            a = k - n_blocks
+            events.append((when[k], "gen", user[a], tx_index[a], rho[cls[a]], -1, -1))
+    return events
 
 
 def _mean_ci(values: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +374,11 @@ def run(config: SimConfig) -> SimReport:
     tp_mean, tp_ci = type_stats(pay)
     welfare_mean, welfare_ci = _mean_ci(np.array([r.welfare for r in reps]))
 
-    events = reps[0].events if config.log_events else None
+    fees = [r.fees_total for r in reps]
+    taxes = [r.taxes_total for r in reps]
+    included = sum(r.included for r in reps)
+    generated = sum(r.generated for r in reps)
+    events = reps[0].events
     return SimReport(
         replications=config.replications,
         horizon=config.horizon,
@@ -405,16 +393,20 @@ def run(config: SimConfig) -> SimReport:
         type_payoff_ci=tp_ci,
         welfare_mean=float(welfare_mean),
         welfare_ci=float(welfare_ci),
-        fees_debited=[r.fees_debited for r in reps],
-        fees_credited=[r.fees_credited for r in reps],
-        taxes_paid=[r.taxes_paid for r in reps],
-        taxes_received=[r.taxes_received for r in reps],
+        # Every fee a user pays is credited to the block's winner and every
+        # tax paid is received by a user, so each ledger's two sides are one
+        # multiset of amounts, and the correctly rounded total of that
+        # multiset is reported as both sides.
+        fees_debited=fees,
+        fees_credited=list(fees),
+        taxes_paid=taxes,
+        taxes_received=list(taxes),
         blocks_total=[r.blocks_total for r in reps],
         blocks_empty=[r.blocks_empty for r in reps],
-        included_high=sum(r.included_high for r in reps),
-        included_low=sum(r.included_low for r in reps),
-        generated_high=sum(r.generated_high for r in reps),
-        generated_low=sum(r.generated_low for r in reps),
+        included_high=int(included[0]),
+        included_low=int(included[1]),
+        generated_high=int(generated[0]),
+        generated_low=int(generated[1]),
         censored_count_total=float(sum(r.censored_count.sum() for r in reps)),
         censored_wait_total=float(sum(r.censored_wait.sum() for r in reps)),
         events=events,

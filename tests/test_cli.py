@@ -174,6 +174,14 @@ def test_simulate_short_run(tmp_path, capsys):
     assert events.read_text().startswith("time,event_type")
 
 
+def test_simulate_rejects_infinite_horizon(capsys):
+    code, out, err = run_cli(["simulate", "--horizon", "inf", "--replications", "1"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--horizon", "100", "--replications", "2", "--seed", "3"]
     code1, out1, _ = run_cli(args, capsys)

@@ -1,11 +1,16 @@
 import json
+import math
+from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from fwt.sim import SimConfig, event_log_to_csv, run, validate_lemma1
+from fwt.sim import SimConfig, _fifo_served, event_log_to_csv, run, validate_lemma1
 
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
@@ -32,8 +37,9 @@ def test_zero_rates_all_zero_report():
 
 def test_config_validation():
     prof = StrategyProfile(RatePair(0, 0), RatePair(0, 0))
-    with pytest.raises(ValueError):
-        config(prof, horizon=0.0)
+    for horizon in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            config(prof, horizon=horizon)
     with pytest.raises(ValueError):
         SimConfig(params=TWO_USERS, menu=BOTH_OK, tax=TaxVector.zero(),
                   profile=prof, horizon=1.0, warmup=0.9)
@@ -134,18 +140,31 @@ def test_per_user_override_deviation_measurement():
     assert measured == pytest.approx(w_dev, rel=0.05)
 
 
-def test_block_priority_audit_and_selection_replay():
+SATURATED = StrategyProfile(RatePair(6.0, 2.0), RatePair(3.0, 4.0))   # load = mu
+
+
+@pytest.mark.parametrize("menu", [BOTH_OK, HIGH_ONLY], ids=["both", "high_only"])
+@pytest.mark.parametrize("prof", [
+    StrategyProfile(RatePair(1.5, 1.0), RatePair(1.0, 1.5)), SATURATED,
+], ids=["stable", "saturated"])
+def test_block_priority_audit_and_selection_replay(menu, prof):
     """Replaying the event log: every included transaction is exactly the
-    miner-game equilibrium selection for the pool standing at that block."""
-    prof = StrategyProfile(RatePair(1.5, 1.0), RatePair(1.0, 1.5))
-    cfg = config(prof, horizon=150.0, reps=1, log_events=True)
+    miner-game equilibrium selection for the pool standing at that block,
+    and the per-user waits rebuilt from the log are the reported ones."""
+    cfg = config(prof, horizon=150.0, reps=1, menu=menu, log_events=True)
     report = run(cfg)
     events = report.events
     assert events is not None
+    t_start = cfg.warmup * cfg.horizon
     pool: dict[tuple, PendingTx] = {}
+    wait_sum = [0.0, 0.0]
+    n_gens = [0, 0]
     n_includes = 0
     for time, kind, user, tx_idx, fee, block_id, winner in events:
         if kind == "gen":
+            # tx_index numbers each user's transactions in generation order
+            assert tx_idx == n_gens[user]
+            n_gens[user] += 1
             tx = PendingTx(user_id=user, tx_index=tx_idx, size_bytes=150.0,
                            fee_per_byte=fee, gen_time=time)
             pool[(user, tx_idx)] = tx
@@ -156,13 +175,71 @@ def test_block_priority_audit_and_selection_replay():
             # no pool transaction at the block instant beats the included fee
             top = max(t.fee_per_byte for t in pool.values())
             assert fee == top
-            del pool[(user, tx_idx)]
+            gen_time = pool.pop((user, tx_idx)).gen_time
+            if gen_time >= t_start:
+                wait_sum[user] += time - gen_time
             n_includes += 1
         elif kind == "block":
             # empty block: nothing eligible was pending
             eligible = [t for t in pool.values() if t.fee_per_byte >= C_S]
             assert not eligible
     assert n_includes > 50
+    window = cfg.horizon - t_start
+    assert report.user_wait_mean.tolist() == [w / window for w in wait_sum]
+    # what is still pending at the horizon is censored, after the warm-up only
+    left = [t.gen_time for t in pool.values() if t.gen_time >= t_start]
+    assert report.censored_count_total == len(left)
+    assert report.censored_wait_total == pytest.approx(
+        math.fsum(cfg.horizon - t for t in left), rel=1e-12)
+
+
+def test_tax_total_matches_pairwise_sum():
+    """The reported tax total is the correctly rounded sum over every
+    ordered pair of distinct users of what the first pays the second."""
+    p = replace(SystemParams(), n_users_high=3, n_users_low=4)
+    tax = TaxVector(1.1e-5, -2.3e-6, 3.7e-6, 4.1e-5)
+    rates = tuple(RatePair(0.3 * (i + 1), 0.5 * (7 - i)) for i in range(7))
+    cfg = config(StrategyProfile(RatePair(0, 0), RatePair(0, 0)), params=p, tax=tax,
+                 reps=1, warmup=0.3, per_user_rates=rates, log_events=True)
+    report = run(cfg)
+    t_start = cfg.warmup * cfg.horizon
+    gen_time = {(e[2], e[3]): e[0] for e in report.events if e[1] == "gen"}
+    included = np.zeros(p.n_users)
+    for e in report.events:
+        if e[1] == "include" and gen_time[(e[2], e[3])] >= t_start:
+            included[e[2]] += 1
+    kind = ["H"] * p.n_users_high + ["L"] * p.n_users_low
+    entry = {"HH": tax.p_hh, "HL": tax.p_hl, "LH": tax.p_lh, "LL": tax.p_ll}
+    pairwise = math.fsum(included[u] * entry[kind[u] + kind[v]]
+                         for u in range(p.n_users) for v in range(p.n_users) if u != v)
+    assert report.taxes_paid == report.taxes_received == [pairwise]
+
+
+def _reference_fifo_served(arrivals, blocks):
+    """Event by event: each block serves the head of the queue of arrivals
+    strictly before it."""
+    queue, served, i = deque(), [], 0
+    for k, t in enumerate(blocks):
+        while i < len(arrivals) and arrivals[i] < t:
+            queue.append(i)
+            i += 1
+        if queue:
+            queue.popleft()
+            served.append(k)
+    return served
+
+
+_int_times = st.lists(st.integers(0, 12), max_size=30).map(
+    lambda xs: np.array(sorted(xs), dtype=float))
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrivals=_int_times, blocks=_int_times)
+def test_fifo_served_matches_queue_with_ties(arrivals, blocks):
+    """Integer times make arrivals fall on block instants: such a block
+    never serves the arrival at its own instant."""
+    served = _fifo_served(arrivals, blocks)
+    assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist())
 
 
 def test_event_log_csv_header():
