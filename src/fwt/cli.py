@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
     params = _load_params(args)
     hetero = _parse_hetero(args.hetero, params) if args.hetero else None
     mech, p_eff, outcome, _, _, _ = _solve_point(params, args.tax_split, hetero)
-    horizon = args.horizon if args.horizon else 1e5 / p_eff.block_rate
+    horizon = 1e5 / p_eff.block_rate if args.horizon is None else args.horizon
     config = SimConfig(
         params=p_eff, menu=mech.menu, tax=mech.tax, profile=outcome.profile,
         horizon=horizon, seed=args.seed, warmup=args.warmup,

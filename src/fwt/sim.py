@@ -16,6 +16,12 @@ its arrivals stay pending until the horizon (censored). Tie rule: a block
 sees only the transactions generated strictly before it, and equal
 generation times queue in user order.
 
+Confidence intervals: each mean over replications carries a 95% Student-t
+half-width. The t quantile is computed here with the math module and numpy
+alone (`_t_quantile`: the closed-form t distribution function for integer
+degrees of freedom, inverted by Newton's method), which keeps the import of
+a statistics library off every process's start-up.
+
 Reproducibility: one root seed spawns one deterministic substream per
 random source (block process, winner draws, then one per user-class), so
 adding users never perturbs existing streams. All exponential draws use
@@ -28,9 +34,9 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
 from .user_game import waiting_rate
@@ -274,16 +280,60 @@ def _event_log(block_times, winners, times, user, cls, served_tx, rho) -> list:
     return events
 
 
-def _mean_ci(values: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and 95% t-interval half-width across replications."""
+def _t_central(u: float, dof: int) -> float:
+    """P(|T| <= u * sqrt(dof)) for Student's t with integer `dof` >= 1.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4
+    (even dof) in theta = atan(u). The powers cos^2k(theta) are taken as
+    exp(k * log(cos^2 theta)) with log(cos^2 theta) = -log1p(u^2): repeated
+    multiplication by a rounded cos^2 would compound its rounding error over
+    the dof/2 terms.
+    """
+    odd = dof % 2
+    n = dof // 2
+    k = np.arange(1, n)
+    coef = np.cumprod(np.concatenate(([1.0], (2 * k - 1 + odd) / (2 * k + odd))))[:n]
+    series = float(np.sum(coef * np.exp(np.arange(n) * -math.log1p(u * u))))
+    if odd:
+        return (math.atan(u) + u / (1.0 + u * u) * series) * 2.0 / math.pi
+    return u / math.sqrt(1.0 + u * u) * series
+
+
+def _t_quantile(prob: float, dof: int) -> float:
+    """Quantile of Student's t with integer `dof` >= 1, for 0.5 < prob < 1.
+
+    Newton's method on u = t / sqrt(dof) against `_t_central`, from the
+    normal quantile. The central probability is concave in u and the t
+    quantile exceeds the normal one, so the iterates rise monotonically to
+    the root.
+    """
+    target = 2.0 * prob - 1.0
+    # d/du of the central probability is scale * (1 + u^2)^(-(dof + 1) / 2)
+    scale = (2.0 * math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2))
+             / math.sqrt(math.pi))
+    u = NormalDist().inv_cdf(prob) / math.sqrt(dof)
+    while True:
+        slope = scale * (1.0 + u * u) ** (-(dof + 1) / 2)
+        step = (target - _t_central(u, dof)) / slope
+        u += step
+        if step <= 1e-15 * u:
+            return u * math.sqrt(dof)
+
+
+def _mean_ci(values: np.ndarray, t_crit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and t-interval half-width t_crit * s / sqrt(r) over the r
+    replications on axis 0; NaN half-width when r < 2.
+
+    `t_crit` is the 97.5% Student-t quantile with r - 1 degrees of freedom,
+    computed once per run by `_t_quantile` (the closed-form t distribution
+    function inverted by Newton's method).
+    """
     values = np.asarray(values, dtype=float)
-    r = values.shape[axis]
-    mean = values.mean(axis=axis)
+    r = values.shape[0]
+    mean = values.mean(axis=0)
     if r < 2:
         return mean, np.full_like(np.asarray(mean, dtype=float), math.nan)
-    sd = values.std(axis=axis, ddof=1)
-    half = stats.t.ppf(0.975, r - 1) * sd / math.sqrt(r)
-    return mean, half
+    return mean, t_crit * values.std(axis=0, ddof=1) / math.sqrt(r)
 
 
 @dataclass
@@ -358,21 +408,23 @@ def run(config: SimConfig) -> SimReport:
             for child in root.spawn(config.replications)]
 
     n_h = config.params.n_users_high
+    n_reps = config.replications
+    t_crit = _t_quantile(0.975, n_reps - 1) if n_reps > 1 else math.nan
     wait = np.stack([r.wait_rate for r in reps])
     pay = np.stack([r.payoff for r in reps])
-    wait_mean, wait_ci = _mean_ci(wait)
-    pay_mean, pay_ci = _mean_ci(pay)
+    wait_mean, wait_ci = _mean_ci(wait, t_crit)
+    pay_mean, pay_ci = _mean_ci(pay, t_crit)
 
     def type_stats(per_rep: np.ndarray) -> tuple[dict, dict]:
         h = per_rep[:, :n_h].mean(axis=1)
         low = per_rep[:, n_h:].mean(axis=1)
-        mh, ch = _mean_ci(h)
-        ml, cl = _mean_ci(low)
+        mh, ch = _mean_ci(h, t_crit)
+        ml, cl = _mean_ci(low, t_crit)
         return ({"H": float(mh), "L": float(ml)}, {"H": float(ch), "L": float(cl)})
 
     tw_mean, tw_ci = type_stats(wait)
     tp_mean, tp_ci = type_stats(pay)
-    welfare_mean, welfare_ci = _mean_ci(np.array([r.welfare for r in reps]))
+    welfare_mean, welfare_ci = _mean_ci(np.array([r.welfare for r in reps]), t_crit)
 
     fees = [r.fees_total for r in reps]
     taxes = [r.taxes_total for r in reps]

@@ -174,8 +174,9 @@ def test_simulate_short_run(tmp_path, capsys):
     assert events.read_text().startswith("time,event_type")
 
 
-def test_simulate_rejects_infinite_horizon(capsys):
-    code, out, err = run_cli(["simulate", "--horizon", "inf", "--replications", "1"],
+@pytest.mark.parametrize("horizon", ["inf", "0"])
+def test_simulate_rejects_bad_horizon(capsys, horizon):
+    code, out, err = run_cli(["simulate", "--horizon", horizon, "--replications", "1"],
                              capsys)
     assert code == 2
     assert out == ""

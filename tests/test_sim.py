@@ -2,15 +2,19 @@ import json
 import math
 from collections import deque
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from fwt import sim
 from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from fwt.sim import SimConfig, _fifo_served, event_log_to_csv, run, validate_lemma1
+from fwt.sim import (SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run,
+                     validate_lemma1)
 
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
@@ -275,3 +279,52 @@ def test_winner_draws_respect_mining_power():
             winner_counts[ev[6]] += 1
     total = winner_counts[0] + winner_counts[1]
     assert winner_counts[0] / total > 0.8
+
+
+# scipy serves only as the reference here; the package never imports it.
+_DOFS = list(range(1, 201)) + list(range(297, 10001, 97)) + [10000]
+
+
+def test_t_quantile_matches_scipy():
+    got = [_t_quantile(0.975, dof) for dof in _DOFS]
+    np.testing.assert_allclose(got, stats.t.ppf(0.975, _DOFS), rtol=1e-12, atol=0)
+
+
+def test_t_quantile_closed_forms():
+    assert _t_quantile(0.975, 1) == pytest.approx(math.tan(0.475 * math.pi),
+                                                  rel=1e-12, abs=0)
+    assert _t_quantile(0.975, 2) == pytest.approx(0.95 / math.sqrt(2 * 0.975 * 0.025),
+                                                  rel=1e-12, abs=0)
+    # Cornish-Fisher: t = z + (z^3 + z) / (4 dof) + c / dof^2 with c = 2.82 at 97.5%
+    z = NormalDist().inv_cdf(0.975)
+    for dof in (10**3, 10**4, 10**5):
+        assert abs(_t_quantile(0.975, dof) - z - (z**3 + z) / (4 * dof)) < 3 / dof**2
+
+
+@pytest.mark.parametrize("reps", range(1, 11))
+def test_run_intervals_match_scipy_reference(monkeypatch, reps):
+    """Every interval `run` reports: NaN at one replication, otherwise
+    t(0.975, r - 1) * s / sqrt(r) over the r per-replication values."""
+    mean_ci = sim._mean_ci
+    calls = []
+
+    def spy(values, t_crit):
+        mean, half = mean_ci(values, t_crit)
+        calls.append((np.asarray(values, dtype=float), mean, half))
+        return mean, half
+
+    monkeypatch.setattr(sim, "_mean_ci", spy)
+    prof = StrategyProfile(RatePair(1.0, 1.0), RatePair(1.0, 0.5))
+    report = run(config(prof, horizon=200.0, reps=reps))
+    assert len(calls) == 7
+    for values, mean, half in calls:
+        assert values.shape[0] == reps
+        np.testing.assert_array_equal(mean, values.mean(axis=0))
+        if reps == 1:
+            assert np.isnan(half).all()
+        else:
+            ref = (stats.t.ppf(0.975, reps - 1) * values.std(axis=0, ddof=1)
+                   / math.sqrt(reps))
+            np.testing.assert_allclose(half, ref, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(report.user_wait_ci, calls[0][2])
+    np.testing.assert_array_equal(report.welfare_ci, calls[-1][2])
