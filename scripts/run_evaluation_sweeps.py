@@ -13,31 +13,26 @@ import csv
 from dataclasses import replace
 from pathlib import Path
 
-from fwt.cli import SWEEP_COLUMNS, sweep_rows
+from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.model import SystemParams
 
-AXES = {
-    "gamma": dict(lo=1e-5, hi=1e-3, steps=20),
-    "r_high": dict(lo=5e-4, hi=3e-3, steps=20),
-    "n_users": dict(lo=50, hi=500, steps=10),
-    "cost_ratio": dict(lo=1.0, hi=10.0, steps=10),
-}
+STEPS = {"gamma": 20, "r_high": 20, "n_users": 10, "cost_ratio": 10}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--paper-scale", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = SystemParams()
-    for axis, spec in AXES.items():
-        lo, hi, steps = spec["lo"], spec["hi"], spec["steps"]
+    for axis, steps in STEPS.items():
+        lo, hi = _SWEEP_DEFAULTS[axis]
         params = base
         if axis == "n_users" and args.paper_scale:
-            lo, hi = 153_000, 537_000
+            lo, hi = _PAPER_N_RANGE
         if axis == "cost_ratio":
             # keep the generating case alive under the fattened storage bound
             params = replace(base, utility_high=4e-3, utility_low=2e-3)

@@ -7,6 +7,13 @@ type picks one fee level from a grid plus a generation rate; the
 equilibrium is found by deterministic round-robin best response. Only
 qualitative directions of this baseline are meaningful; its exact welfare
 numbers are a modeling choice, not a reproduction target.
+
+A best response needs at most three of the grid's fees: the lowest one,
+the rival's fee and the fee one step above it. Fees below the rival's all
+see the same queue, as do fees above it, and within each group the lowest
+fee pays best (proof in `_best_response`). These are the moves of
+Edgeworth-cycle pricing (Maskin & Tirole 1988): drop to the lowest fee,
+match the rival, or outbid it by one step.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams, require_valid
-from .queue import own_rate, sojourn, welfare_rate
+from .queue import own_rate_float, sojourn, welfare_rate
 
 __all__ = ["ExistingOutcome", "existing_equilibrium", "verify_existing"]
 
@@ -63,42 +70,71 @@ def _fee_grid(params: SystemParams, points: int) -> np.ndarray:
 
 def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
                    grid: np.ndarray, params: SystemParams):
-    """Best (fee index, rate) for one user type against the other type's play.
+    """Best (fee index, rate, payoff) for one user type against the other
+    type's play, lowest fee on ties.
 
-    The other type sends the total rate `other_load` at fee index
-    `other_fi`. For each candidate fee the rate is the within-type
-    symmetric fixed point: every one of the n_own users individually
-    optimizes against its n_own - 1 peers playing the same rate plus the
-    other type's traffic. This is the same rate root as the single-fee
-    equilibrium, with the class capacity shrunk by higher-fee traffic,
-    which scales the waiting cost by mu/(mu - above). The
-    payoff-maximizing fee wins, lowest fee on ties.
+    The other type sends the total rate `other_load` = L at fee index
+    `other_fi` = j. At each fee the rate is the within-type symmetric fixed
+    point: every one of the n_own users optimizes against its n_own - 1
+    peers plus the other type's traffic. This is the single-fee rate root
+    with the class capacity shrunk by higher-fee traffic, which scales the
+    waiting cost by mu/(mu - above).
+
+    Only the fee indices 0, j and j + 1 can win. The grid splits into three
+    runs: i < j sees (above, same) = (L, 0), i = j sees (0, L), i > j sees
+    (0, 0). Within a run only the margin m = r_n - sbar*fee changes, and it
+    falls as i rises. The payoff there is 0 where m <= 0 or the run has no
+    capacity, and otherwise strictly increasing in m:
+    - uncapped, it is gamma' lam^2 / x^2 with gamma' = gamma mu/(mu - above),
+      where x, the capacity the type leaves unused, falls and the rate
+      lam = (free - x)/n_own rises as m rises (0 once x >= free);
+    - at the cap it is cap (m - gamma W), with the wait W fixed;
+    - at gamma = 0 it is min(free, cap) m.
+    So along a run the payoff is positive and strictly falling, then 0, and
+    the first maximum over the grid sits at a run's first index. The scan
+    takes the runs in index order and keeps only a strictly larger payoff,
+    so it returns that first maximum, index 0 when every payoff is 0.
+
+    Where m * free is within rounding of gamma', the rate is a few ulps and
+    the computed payoff can fall below 0. The scan then walks on along the
+    run to its first payoff >= 0, as a search over the whole grid would.
     """
+    best = None
+    for start, stop in ((0, other_fi), (other_fi, other_fi + 1), (other_fi + 1, len(grid))):
+        for i in range(start, stop):
+            above = other_load if i < other_fi else 0.0
+            same = other_load if i == other_fi else 0.0
+            lam, payoff = _rate_and_payoff(r_n, n_own, above, same, float(grid[i]), params)
+            if best is None or payoff > best[2]:
+                best = (i, lam, payoff)
+            if payoff >= 0.0:
+                break
+    return best
+
+
+def _rate_and_payoff(r_n: float, n_own: int, above: float, same: float, fee: float,
+                     params: SystemParams):
+    """Within-type equilibrium (rate, payoff) of one user type at one fee,
+    with `above` and `same` the other type's load in the higher fee classes
+    and in this fee's class; (0, 0) where the type cannot profit."""
     mu = params.block_rate
     gamma = params.impatience
-    sbar = params.mean_tx_size
-    cap = params.max_rate_per_user
-    above = np.zeros(len(grid))
-    above[:other_fi] = other_load
-    same = np.zeros(len(grid))
-    same[other_fi] = other_load
-
-    margin = r_n - sbar * grid
+    margin = r_n - params.mean_tx_size * fee
     mu1 = mu - above          # capacity above my class
     free = mu1 - same         # class capacity left before my type's load
-    valid = (margin > 0) & (mu1 > 0) & (free > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if gamma == 0.0:
-            lam = np.where(valid, np.minimum(np.maximum(free, 0.0), cap), 0.0)
-            payoff = np.where(valid, lam * margin, 0.0)
-        else:
-            lam = own_rate(n_own, margin, gamma * mu / mu1, free, valid)
-            lam = np.where(valid, np.minimum(np.maximum(lam, 0.0), cap), 0.0)
-            wait_per_tx = sojourn(mu, above, above + same + n_own * lam)
-            cost = np.where(lam > 0, gamma * lam * wait_per_tx, 0.0)
-            payoff = np.where(valid, lam * margin - cost, 0.0)
-    best = int(np.argmax(payoff))
-    return best, float(lam[best]), float(payoff[best])
+    if not (margin > 0 and mu1 > 0 and free > 0):
+        return 0.0, 0.0
+    cap = params.max_rate_per_user
+    if gamma == 0.0:
+        lam = min(free, cap)
+        return lam, lam * margin
+    lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0), cap)
+    if lam == 0.0:
+        return 0.0, 0.0
+    through = above + same + n_own * lam
+    # the array form's mu/0 = inf, where a float division would raise
+    wait_per_tx = sojourn(mu, above, through) if through != mu else math.inf
+    return lam, lam * margin - gamma * lam * wait_per_tx
 
 
 def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: float):

@@ -29,6 +29,7 @@ from .user_game import best_response_check, net_utilities, sne_select
 __all__ = [
     "CheckResult",
     "jain_index",
+    "per_user_payoffs",
     "check_miner_ne",
     "check_user_ne",
     "check_lemma1",
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 TABLE_DEFAULTS = SystemParams()
+
+
+def per_user_payoffs(payoff_high, payoff_low, n_high: int, n_low: int) -> np.ndarray:
+    """The payoff of every user: n_high copies of payoff_high, then n_low of
+    payoff_low."""
+    return np.repeat([payoff_high, payoff_low], [n_high, n_low])
 
 
 def jain_index(payoffs) -> float:
@@ -299,9 +306,8 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
         for params in grid:
             mech = optimal_mechanism(params, tax_split="fairness")
             outcome = induced_outcome(mech, params)
-            payoffs = ([outcome.payoff_high] * params.n_users_high
-                       + [outcome.payoff_low] * params.n_users_low)
-            j = jain_index(payoffs)
+            j = jain_index(per_user_payoffs(outcome.payoff_high, outcome.payoff_low,
+                                            params.n_users_high, params.n_users_low))
             if math.isnan(j):
                 if outcome.payoff_high == outcome.payoff_low == 0.0:
                     degenerate += 1

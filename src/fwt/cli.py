@@ -1,7 +1,7 @@
 """Command-line harness: solve / sweep / simulate / check.
 
 Machine-readable output only (JSON and CSV); exit codes are 0 for success,
-1 for a failed check, 2 for invalid input.
+1 for a failed check, 2 for invalid input, 3 for an internal error.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import existing_equilibrium
-from .checks import SUITES, jain_index, run_suite
+from .checks import SUITES, jain_index, per_user_payoffs, run_suite
 from .mechanism import (
     induced_outcome,
     optimal_mechanism,
@@ -33,6 +33,7 @@ from .model import (
     parse_config,
     validate_params,
 )
+from .queue import InvariantError
 from .sim import SimConfig, event_log_to_csv, run as run_sim
 
 __all__ = ["main", "jain_index"]
@@ -40,6 +41,7 @@ __all__ = ["main", "jain_index"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 def _load_params(args) -> SystemParams:
@@ -174,8 +176,8 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 system_cost_per_byte=bound if hetero is not None else None)
 
             n_h, n_l = p_eff.n_users_high, p_eff.n_users_low
-            fwt_payoffs = [outcome.payoff_high] * n_h + [outcome.payoff_low] * n_l
-            ex_payoffs = [existing.payoff_high] * n_h + [existing.payoff_low] * n_l
+            fwt_payoffs = per_user_payoffs(outcome.payoff_high, outcome.payoff_low, n_h, n_l)
+            ex_payoffs = per_user_payoffs(existing.payoff_high, existing.payoff_low, n_h, n_l)
             improvement = math.nan
             if existing.welfare != 0.0:
                 improvement = 100.0 * (welfare.total - existing.welfare) / abs(existing.welfare)
@@ -308,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -9,16 +9,24 @@ Lambda / (mu - Lambda) waiting per unit time, whatever the order.
 
 The formulas take floats or numpy arrays. `sojourn` and `own_rate` are
 bare arithmetic: callers mask the entries where they do not apply, such as
-refused or saturated classes. Type B is the user type with the bigger net
-utility, type S the other one.
+refused or saturated classes. `own_rate_float` is the same root for one
+user type at one fee, in Python floats. Type B is the user type with the
+bigger net utility, type S the other one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["sojourn", "welfare_rate", "own_rate", "by_role", "split_roles"]
+__all__ = ["InvariantError", "sojourn", "welfare_rate", "own_rate", "own_rate_float",
+           "by_role", "split_roles"]
 
 _SQRT_TOL = 1e-15
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in the program, not bad input."""
 
 
 def sojourn(mu, above, through):
@@ -53,7 +61,7 @@ def _checked_sqrt(arg, selected):
     selected branch indicate a branch-selection bug and raise."""
     arg = np.asarray(arg, dtype=float)
     if (selected & (arg < -_SQRT_TOL)).any():
-        raise ValueError("negative square-root argument on an active branch")
+        raise InvariantError("negative square-root argument on an active branch")
     return np.sqrt(np.maximum(arg, 0.0))
 
 
@@ -66,6 +74,20 @@ def own_rate(n, margin, gamma, free, selected):
     """
     root = _checked_sqrt(
         gamma**2 * (n - 1.0) ** 2 + 4.0 * n * margin * gamma * free, selected)
+    return free / n - (gamma * (n - 1.0) + root) / (2.0 * margin * n**2)
+
+
+def own_rate_float(n, margin, gamma, free):
+    """`own_rate` at one selected point, for Python floats and an int n.
+
+    Bit-identical to an ndarray `own_rate` entry: gamma is squared by
+    multiplication, as numpy squares arrays, where a float `gamma**2`
+    calls C pow, which can differ in the last bit.
+    """
+    arg = gamma * gamma * (n - 1.0) ** 2 + 4.0 * n * margin * gamma * free
+    if arg < -_SQRT_TOL:
+        raise InvariantError("negative square-root argument on an active branch")
+    root = math.sqrt(max(arg, 0.0))
     return free / n - (gamma * (n - 1.0) + root) / (2.0 * margin * n**2)
 
 

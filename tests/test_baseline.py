@@ -1,15 +1,56 @@
+import dataclasses
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwt.baseline import _fee_grid, existing_equilibrium, verify_existing
+import fwt.baseline
+import fwt.cli
+from fwt.baseline import _best_response, _fee_grid, existing_equilibrium, verify_existing
+from fwt.cli import sweep_rows
 from fwt.mechanism import induced_outcome, optimal_mechanism, social_welfare
 from fwt.model import SystemParams
-from fwt.queue import own_rate
+from fwt.queue import InvariantError, own_rate, own_rate_float, sojourn
+
+
+def _grid_rates_and_payoffs(r_n, n_own, other_fi, other_load, grid, params):
+    """The baseline's rate and payoff at every fee of the grid, as its best
+    response computed them before it evaluated three candidates; kept as
+    the reference."""
+    mu = params.block_rate
+    gamma = params.impatience
+    sbar = params.mean_tx_size
+    cap = params.max_rate_per_user
+    above = np.zeros(len(grid))
+    above[:other_fi] = other_load
+    same = np.zeros(len(grid))
+    same[other_fi] = other_load
+
+    margin = r_n - sbar * grid
+    mu1 = mu - above
+    free = mu1 - same
+    valid = (margin > 0) & (mu1 > 0) & (free > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if gamma == 0.0:
+            lam = np.where(valid, np.minimum(np.maximum(free, 0.0), cap), 0.0)
+            payoff = np.where(valid, lam * margin, 0.0)
+        else:
+            lam = own_rate(n_own, margin, gamma * mu / mu1, free, valid)
+            lam = np.where(valid, np.minimum(np.maximum(lam, 0.0), cap), 0.0)
+            wait_per_tx = sojourn(mu, above, above + same + n_own * lam)
+            cost = np.where(lam > 0, gamma * lam * wait_per_tx, 0.0)
+            payoff = np.where(valid, lam * margin - cost, 0.0)
+    return lam, payoff
+
+
+def _grid_best_response(*args):
+    """Reference best response: the first maximum over the whole grid."""
+    lam, payoff = _grid_rates_and_payoffs(*args)
+    best = int(np.argmax(payoff))
+    return best, float(lam[best]), float(payoff[best])
 
 
 def _reference_rate(n_own, margin, mu1, free, gamma, mu):
@@ -50,8 +91,8 @@ def test_own_rate_matches_baseline_reference(n_own, margin, above, same, gamma):
 
 @pytest.mark.parametrize("other_fi", [0, 7, 120])
 def test_own_rate_matches_baseline_reference_on_fee_grid(table_params, other_fi):
-    """The array path, as _best_response calls it: every fee of the grid
-    with a positive margin, behind a competitor at one grid fee."""
+    """The array path, as the whole-grid reference calls it: every fee of
+    the grid with a positive margin, behind a competitor at one grid fee."""
     p = table_params
     grid = _fee_grid(p, 200)
     mu = p.block_rate
@@ -147,3 +188,137 @@ def test_json_shape(table_params):
     assert set(doc) >= {"sne_kind", "fee_used", "rates", "waiting_rate",
                         "payoff", "avg_fee_per_byte", "converged"}
     assert doc["sne_kind"] == "Existing"
+
+
+def _best_response_state(n_own, n_other, gamma, points, r_frac, fi_pick, load_frac):
+    """(r_n, n_own, other_fi, other_load, grid, params) from plain draws:
+    r_n as a fraction of the grid's top fee times sbar, the rival's fee as
+    first/middle/last index and its load as a fraction of mu."""
+    p = replace(SystemParams(), impatience=gamma, n_users_high=n_own,
+                n_users_low=n_other)
+    grid = _fee_grid(p, points)
+    other_fi = {"first": 0, "middle": points // 2, "last": points - 1}[fi_pick]
+    r_n = r_frac * p.mean_tx_size * float(grid[-1])
+    return r_n, n_own, other_fi, load_frac * p.block_rate, grid, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_own=st.integers(1, 300_000),
+    n_other=st.integers(1, 300_000),
+    gamma=st.sampled_from([0.0]) | st.floats(1e-9, 1.0),
+    points=st.integers(2, 200),
+    r_frac=st.floats(0.0, 1.2),
+    fi_pick=st.sampled_from(["first", "middle", "last"]),
+    load_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.999) | st.floats(1.0, 2.0),
+)
+@example(1, 1, 0.0, 200, 0.7, "first", 0.0)        # gamma = 0, cap binds
+@example(100, 100, 1e-4, 200, 0.7, "last", 0.4)    # lowest fee wins
+@example(100, 100, 1e-4, 200, 0.7, "first", 0.4)   # outbidding wins
+@example(100, 100, 1e-4, 200, 0.0, "middle", 0.4)  # nobody profits: index 0
+@example(100, 100, 1e-4, 200, 0.7, "middle", 1.0)  # rival saturates mu
+def test_best_response_matches_grid_reference(n_own, n_other, gamma, points, r_frac,
+                                              fi_pick, load_frac):
+    """The three-candidate best response equals the whole-grid search:
+    the same fee index, rate and payoff, bit for bit."""
+    args = _best_response_state(n_own, n_other, gamma, points, r_frac, fi_pick, load_frac)
+    assert _best_response(*args) == _grid_best_response(*args)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_best_response_matches_grid_reference_at_zero_rate_edge(seed):
+    """States whose first fee of a run sits at m * free = gamma', where the
+    rate is a few ulps and the computed payoff can round below 0: the
+    best response still equals the whole-grid search."""
+    rng = np.random.default_rng(seed)
+    negative = 0
+    for _ in range(200):
+        n_own = int(rng.integers(1, 300_001))
+        gamma = float(10 ** rng.uniform(-7, -1))
+        points = int(rng.integers(2, 201))
+        fi_pick = str(rng.choice(["first", "middle", "last"]))
+        load_frac = float(rng.uniform(0.0, 1.0))
+        _, _, j, load, grid, p = _best_response_state(
+            n_own, 100, gamma, points, 0.0, fi_pick, load_frac)
+        mu = p.block_rate
+        i = int(rng.choice([0, j, min(j + 1, points - 1)]))
+        above = load if i < j else 0.0
+        free = mu - above - (load if i == j else 0.0)
+        gamma_eff = gamma * mu / (mu - above)
+        r_n = (p.mean_tx_size * float(grid[i])
+               + gamma_eff / free * (1.0 + float(rng.uniform(0.0, 2e-12))))
+        args = (r_n, n_own, j, load, grid, p)
+        negative += _grid_rates_and_payoffs(*args)[1].min() < 0.0
+        assert _best_response(*args) == _grid_best_response(*args)
+    assert negative > 0  # the draws reach the rounding edge
+
+
+
+def test_own_rate_float_matches_array_entries():
+    """The float root is bit-identical to the ndarray `own_rate` entry by
+    entry, over random rates, margins, gamma' and capacities."""
+    rng = np.random.default_rng(0)
+    size = 20_000
+    n = rng.integers(1, 300_001, size)
+    n[: size // 4] = rng.integers(1, 4, size // 4)
+    margin = 10 ** rng.uniform(-8, -2, size)
+    gamma = 10 ** rng.uniform(-9, 0, size)
+    free = rng.uniform(1e-6, 15.0, size)
+    for k in range(size):
+        entry = own_rate(int(n[k]), margin[k:k + 1], gamma[k:k + 1], free[k:k + 1], True)
+        got = own_rate_float(int(n[k]), float(margin[k]), float(gamma[k]), float(free[k]))
+        assert got == float(entry[0]), k
+
+
+@pytest.mark.parametrize("root", [
+    lambda: own_rate_float(2, 1.0, 1.0, -10.0),
+    lambda: own_rate(2, np.array([1.0]), 1.0, np.array([-10.0]), np.array([True])),
+], ids=["float", "array"])
+def test_rate_root_guard_raises_invariant_error(root):
+    # a negative capacity makes the discriminant 1 - 80 < 0
+    with pytest.raises(InvariantError, match="negative square-root"):
+        root()
+
+
+# The 80 points of perfbench's sweep workload: the evaluation axes of
+# scripts/run_evaluation_sweeps.py plus the paper-scale n_users axis.
+_SWEEP_POINTS = [
+    ("gamma", 1e-5, 1e-3, 20, None),
+    ("r_high", 5e-4, 3e-3, 20, None),
+    ("n_users", 50, 500, 10, None),
+    ("cost_ratio", 1.0, 10.0, 10, (4e-3, 2e-3)),
+    ("n_users", 153_000, 537_000, 20, None),
+]
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def test_existing_equilibrium_matches_grid_reference_on_sweep_points(monkeypatch):
+    """existing_equilibrium with the whole-grid best response patched in
+    returns the same outcome, field by field, at every point the sweep
+    workload calls it with."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return existing_equilibrium(*args, **kwargs)
+
+    monkeypatch.setattr(fwt.cli, "existing_equilibrium", record)
+    for axis, lo, hi, steps, utilities in _SWEEP_POINTS:
+        p = SystemParams()
+        if utilities is not None:
+            p = replace(p, utility_high=utilities[0], utility_low=utilities[1])
+        for value in np.linspace(lo, hi, steps):
+            (row,) = sweep_rows(p, axis, float(value), float(value), 1)
+            assert row["error"] == ""
+    assert len(calls) == 80
+
+    new = [existing_equilibrium(*a, **kw) for a, kw in calls]
+    monkeypatch.setattr(fwt.baseline, "_best_response", _grid_best_response)
+    ref = [existing_equilibrium(*a, **kw) for a, kw in calls]
+    for got, want in zip(new, ref):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert _same(a, b), (field.name, a, b)

@@ -5,8 +5,11 @@ import math
 
 import pytest
 
+import fwt.cli
 from fwt.checks import jain_index
-from fwt.cli import SWEEP_COLUMNS, main
+from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
+from fwt.model import SystemParams
+from fwt.queue import InvariantError
 
 
 def run_cli(args, capsys):
@@ -21,6 +24,28 @@ def test_jain_index_examples():
     assert math.isnan(jain_index([0.0, 0.0]))
     with pytest.raises(ValueError):
         jain_index([])
+
+
+@pytest.mark.parametrize("n_users", [200, 537_000])
+def test_sweep_jain_equals_list_form(n_users):
+    """The sweep's Jain columns equal jain_index over per-user payoff
+    lists, bit for bit."""
+    (row,) = sweep_rows(SystemParams(), "n_users", n_users, n_users, 1)
+    half = n_users // 2
+    for prefix in ("fwt", "existing"):
+        payoffs = [row[f"{prefix}_payoff_h"]] * half + [row[f"{prefix}_payoff_l"]] * half
+        assert row[f"{prefix}_jain"] == jain_index(payoffs)
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("negative square-root argument on an active branch")
+
+    monkeypatch.setattr(fwt.cli, "optimal_mechanism", broken)
+    code, out, err = run_cli(["solve"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: negative square-root")
 
 
 def test_solve_defaults(capsys):
