@@ -4,19 +4,20 @@
 Writes one CSV per axis (impatience, high-type utility, user count,
 storage-cost ratio) comparing the optimal mechanism against the untaxed
 baseline: average fee-per-byte vs the storage bound, welfare, improvement,
-per-type payoffs and fairness. Desk-scale user counts by default;
---paper-scale restores the full evaluation range on the user-count axis
-(closed forms are O(1) in N, so this is still instant).
+per-type payoffs and fairness. Each table is one `fwt sweep` over the
+axis's default range. Desk-scale user counts by default; --paper-scale
+restores the full evaluation range on the user-count axis (closed forms
+are O(1) in N, so this is still instant).
 """
 import argparse
-import csv
-from dataclasses import replace
+import sys
 from pathlib import Path
 
-from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
-from fwt.model import SystemParams
+from fwt.cli import main as fwt_main
 
 STEPS = {"gamma": 20, "r_high": 20, "n_users": 10, "cost_ratio": 10}
+# keep the generating case alive under the fattened storage bound
+COST_RATIO_PARAMS = ["--param", "utility_high=4e-3", "--param", "utility_low=2e-3"]
 
 
 def main(argv=None):
@@ -27,24 +28,19 @@ def main(argv=None):
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = SystemParams()
     for axis, steps in STEPS.items():
-        lo, hi = _SWEEP_DEFAULTS[axis]
-        params = base
-        if axis == "n_users" and args.paper_scale:
-            lo, hi = _PAPER_N_RANGE
-        if axis == "cost_ratio":
-            # keep the generating case alive under the fattened storage bound
-            params = replace(base, utility_high=4e-3, utility_low=2e-3)
-        rows = sweep_rows(params, axis, lo, hi, steps)
         path = out_dir / f"sweep_{axis}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
-        ok = sum(1 for r in rows if not r["error"])
-        print(f"{path}: {ok}/{len(rows)} points")
+        cmd = ["sweep", "--axis", axis, "--steps", str(steps), "--out", str(path)]
+        if args.paper_scale:
+            cmd.append("--paper-scale")
+        if axis == "cost_ratio":
+            cmd += COST_RATIO_PARAMS
+        code = fwt_main(cmd)
+        if code:
+            return code
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,8 +27,6 @@ from .miner_game import (
     check_miner_nash,
     equilibrium_selection,
     miner_payoff,
-    pool_from_csv,
-    pool_to_csv,
     storage_cost,
     uniform_profile,
 )
@@ -41,7 +39,6 @@ from .model import (
     SystemParams,
     TaxVector,
     apply_overrides,
-    dump_config,
     params_from_mapping,
     parse_config,
     require_valid,

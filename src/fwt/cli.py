@@ -142,7 +142,8 @@ SWEEP_COLUMNS = [
 
 def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int,
                tax_split: str = "fairness", fee_grid_points: int = 200):
-    """One CSV row per sweep point; per-point failures land in `error`."""
+    """One CSV row per sweep point; per-point failures land in `error`, but
+    an internal `InvariantError` stops the sweep."""
     values = np.linspace(lo, hi, steps)
     rows = []
     for value in values:
@@ -197,6 +198,8 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 "existing_converged": existing.converged,
                 "existing_cycle_len": existing.cycle_len,
             })
+        except InvariantError:
+            raise
         except Exception as exc:  # per-point failure, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

@@ -18,8 +18,7 @@ from .model import FeeMenu, HeteroCostParams, SystemParams, TaxVector, require_v
 from .queue import by_role, split_roles, welfare_rate
 from .user_game import (
     SneOutcome,
-    _delta,
-    _pi_rates,
+    _at_fee,
     net_utilities,
     sne_select,
     user_payoff,
@@ -190,8 +189,8 @@ def induced_outcome(mech: Mechanism, params: SystemParams) -> SneOutcome:
 
 # --- sufficient fee ----------------------------------------------------------
 
-def sufficient_fee_check(outcome: SneOutcome, menu: FeeMenu, params: SystemParams,
-                         system_cost_per_byte: float | None = None) -> tuple[float, bool]:
+def sufficient_fee_check(outcome: SneOutcome, menu: FeeMenu,
+                         params: SystemParams) -> tuple[float, bool]:
     """Average fee-per-byte across generating users and whether every
     generating user's average covers total system storage cost per byte.
 
@@ -199,9 +198,6 @@ def sufficient_fee_check(outcome: SneOutcome, menu: FeeMenu, params: SystemParam
     is vacuously true and the average is NaN. Single-class averages return
     the class fee exactly so the boundary case compares exactly.
     """
-    bound = (params.system_storage_per_byte
-             if system_cost_per_byte is None else system_cost_per_byte)
-
     def type_avg(rates) -> float | None:
         if rates.total == 0.0:
             return None
@@ -219,7 +215,7 @@ def sufficient_fee_check(outcome: SneOutcome, menu: FeeMenu, params: SystemParam
         avg = type_avg(rates)
         if avg is None:
             continue
-        ok = ok and (avg >= bound)
+        ok = ok and (avg >= params.system_storage_per_byte)
         per_type.append((avg, count * rates.total))
     if not per_type:
         return math.nan, True
@@ -256,16 +252,13 @@ class WelfareBreakdown:
 
 
 def social_welfare(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
-                   params: SystemParams,
-                   system_cost_per_byte: float | None = None) -> WelfareBreakdown:
+                   params: SystemParams) -> WelfareBreakdown:
     """Sum of all users' and miners' time-average payoffs.
 
     Fees and taxes are transfers: the total equals on-chain utility minus
     total storage cost minus waiting cost, independent of the tax vector at
     fixed generation rates.
     """
-    scb = (params.system_storage_per_byte
-           if system_cost_per_byte is None else system_cost_per_byte)
     c_s = params.storage_cost_per_byte
     sbar = params.mean_tx_size
     u_h = user_payoff("H", outcome, menu, tax, params)
@@ -276,9 +269,9 @@ def social_welfare(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
     incl = (agg1 if menu.rho_high >= c_s else 0.0) + (agg2 if menu.rho_low >= c_s else 0.0)
     fee_inflow = sbar * ((agg1 * menu.rho_high if menu.rho_high >= c_s else 0.0)
                          + (agg2 * menu.rho_low if menu.rho_low >= c_s else 0.0))
-    miner_sum = fee_inflow - scb * sbar * incl
+    miner_sum = fee_inflow - params.system_storage_per_byte * sbar * incl
 
-    avg_fee, _ = sufficient_fee_check(outcome, menu, params, system_cost_per_byte=scb)
+    avg_fee, _ = sufficient_fee_check(outcome, menu, params)
     return WelfareBreakdown(
         total=user_sum + miner_sum,
         user_sum=user_sum,
@@ -315,27 +308,22 @@ def unconstrained_optimum_oracle(params: SystemParams,
 
     The search makes one Stage-II solve per fee, not per menu. At each
     row-sum cell the selected equilibrium puts everyone at one fee, so the
-    cell's welfare is that of "everyone uses fee f", and which fee is used
-    depends on the menu only through per-fee quantities: nobody generates
-    when rho_H < C_s; everyone uses rho_H when rho_L < C_s <= rho_H; with
-    both fees accepted, everyone uses rho_H exactly when the high-fee
-    attractiveness delta at the rho_L rates exceeds sbar*rho_H (never when
-    gamma = 0). Two tables over the fee axis therefore carry the search:
-    W[f], the welfare when everyone uses fee f (zero rates when f < C_s),
-    and D[f], that delta (+inf when f < C_s, so a refused rho_L defers to
-    rho_H; -inf when gamma = 0). Menu (i, j) has welfare
-    where(D[j] > sbar*fee[i], W[i], W[j]). The tables hold the same arrays
-    a per-menu solve computes and every selection is elementwise, so each
-    menu's welfare is bitwise that of solving it on its own.
+    cell's welfare is that of "everyone uses fee f", and everyone uses rho_H
+    exactly when the high-fee attractiveness delta at the rho_L rates
+    exceeds sbar*rho_H. Two tables over the fee axis, both from
+    `user_game._at_fee`, therefore carry the search: W[f], the welfare when
+    everyone uses fee f, and D[f], that delta. Menu (i, j) has welfare
+    where(D[j] > sbar*fee[i], W[i], W[j]); a refused rho_H gives the zero
+    welfare of a refused rho_L. The tables hold the same arrays a per-menu
+    solve computes and every selection is elementwise, so each menu's
+    welfare is bitwise that of solving it on its own.
 
     The winner is the first maximum in (i, j, cell) order; a menu whose
     welfare holds a NaN is skipped, as its argmax lands on the NaN.
     """
     require_valid(params)
     r_h, r_l = params.utility_high, params.utility_low
-    gamma = params.impatience
     sbar = params.mean_tx_size
-    c_s = params.storage_cost_per_byte
 
     fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
     q_grid = np.linspace(-r_h, r_h, grid_points)
@@ -343,25 +331,12 @@ def unconstrained_optimum_oracle(params: SystemParams,
     b_is_high, h_b, h_s, n_b, n_s = split_roles(
         (r_h - qh).ravel(), (r_l - ql).ravel(), params.n_users_high, params.n_users_low)
 
-    def rates_at(fee: float):
-        """Per-user rates (pi_B, pi_S) when everyone uses this fee."""
-        if fee < c_s:
-            return np.zeros(h_b.shape), np.zeros(h_b.shape)
-        return _pi_rates(h_b, h_s, fee, n_b, n_s, params)
-
     welfare = np.empty((grid_points, h_b.size))
     delta = np.empty((grid_points, h_b.size))
     for f, fee in enumerate(fee_grid.tolist()):
-        pi_b, pi_s = rates_at(fee)
+        pi_b, pi_s, delta[f] = _at_fee(h_b, h_s, fee, n_b, n_s, params)
         lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
         welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
-        if fee < c_s:
-            delta[f] = np.inf
-        elif gamma == 0.0:
-            # waiting is free, so nobody pays the higher fee
-            delta[f] = -np.inf
-        else:
-            delta[f] = _delta(h_b, h_s, pi_b, pi_s, fee, n_b, n_s, params)
 
     best_w = -math.inf
     best = None
@@ -377,7 +352,7 @@ def unconstrained_optimum_oracle(params: SystemParams,
     assert best is not None
     i, j, k = best
     used = i if delta[j, k] > sbar * fee_grid[i] else j
-    pi_b, pi_s = rates_at(float(fee_grid[used]))
+    pi_b, pi_s, _ = _at_fee(h_b, h_s, float(fee_grid[used]), n_b, n_s, params)
     lam_h, lam_l = by_role(b_is_high[k], pi_b[k], pi_s[k])
     return OracleResult(
         welfare=best_w,

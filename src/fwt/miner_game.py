@@ -7,8 +7,6 @@ cost per byte; the acceptance comparison is an exact closed inequality.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -23,8 +21,6 @@ __all__ = [
     "equilibrium_selection",
     "uniform_profile",
     "check_miner_nash",
-    "pool_to_csv",
-    "pool_from_csv",
 ]
 
 
@@ -179,31 +175,3 @@ def check_miner_nash(profile: Sequence[Selection], pool: TxPool,
             deviation = max(candidates, key=net)
             return MinerDeviation(miner=m, deviation=deviation, gain=gain)
     return None
-
-
-_CSV_FIELDS = ["user_id", "tx_index", "size_bytes", "fee_per_byte", "gen_time"]
-
-
-def pool_to_csv(pool: TxPool) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_FIELDS)
-    for t in pool:
-        writer.writerow([t.user_id, t.tx_index, repr(t.size_bytes),
-                         repr(t.fee_per_byte), repr(t.gen_time)])
-    return buf.getvalue()
-
-
-def pool_from_csv(text: str) -> TxPool:
-    reader = csv.DictReader(io.StringIO(text))
-    txs = [
-        PendingTx(
-            user_id=int(row["user_id"]),
-            tx_index=int(row["tx_index"]),
-            size_bytes=float(row["size_bytes"]),
-            fee_per_byte=float(row["fee_per_byte"]),
-            gen_time=float(row["gen_time"]),
-        )
-        for row in reader
-    ]
-    return TxPool(txs)

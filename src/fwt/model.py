@@ -24,7 +24,6 @@ __all__ = [
     "require_valid",
     "params_from_mapping",
     "parse_config",
-    "dump_config",
     "apply_overrides",
 ]
 
@@ -289,24 +288,6 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def dump_config(p: SystemParams) -> str:
-    """Serialize params to the flat key-value format (round-trips exactly)."""
-    lines = [
-        f"n_users_high = {p.n_users_high}",
-        f"n_users_low = {p.n_users_low}",
-        f"n_miners = {p.n_miners}",
-        f"block_rate = {p.block_rate!r}",
-        f"impatience = {p.impatience!r}",
-        f"mean_tx_size = {p.mean_tx_size!r}",
-        f"storage_cost_per_byte = {p.storage_cost_per_byte!r}",
-        f"utility_high = {p.utility_high!r}",
-        f"utility_low = {p.utility_low!r}",
-    ]
-    if p.mining_power is not None:
-        lines.append("mining_power = " + ",".join(repr(a) for a in p.mining_power))
-    return "\n".join(lines) + "\n"
 
 
 def apply_overrides(p: SystemParams, overrides: list[str]) -> SystemParams:

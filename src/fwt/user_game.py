@@ -188,6 +188,24 @@ def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams)
     return np.maximum(term_b, term_s)
 
 
+def _at_fee(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
+    """Per-user rates (pi_B, pi_S) and high-fee attractiveness delta when
+    everyone uses this fee; array-capable.
+
+    A fee below C_s is never included, so it supports no generation: zero
+    rates and delta = +inf, so that a refused low fee defers to any higher
+    fee. When gamma = 0 waiting is free and nobody pays a higher fee:
+    delta = -inf.
+    """
+    if fee < params.storage_cost_per_byte:
+        zeros = np.zeros(h_b.shape)
+        return zeros, zeros, np.full(h_b.shape, np.inf)
+    pi_b, pi_s = _pi_rates(h_b, h_s, fee, n_b, n_s, params)
+    if params.impatience == 0.0:
+        return pi_b, pi_s, np.full(h_b.shape, -np.inf)
+    return pi_b, pi_s, _delta(h_b, h_s, pi_b, pi_s, fee, n_b, n_s, params)
+
+
 # --- equilibrium selection ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -224,37 +242,21 @@ class SneOutcome:
 def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
     """Per-type SNE rates and active-fee flag; array-capable.
 
-    Handles fee menus where one or both fees sit below the miners'
-    acceptance threshold (needed by the unconstrained mechanism search):
-    a class that is never included supports no generation, so the game
-    collapses to the remaining fee or to no generation at all.
+    Everyone uses rho_H exactly where the high-fee attractiveness delta at
+    the rho_L rates exceeds sbar*rho_H, and rho_L elsewhere; `_at_fee`
+    makes a refused rho_L defer to rho_H, and a refused rho_H is never used.
     """
-    c_s = params.storage_cost_per_byte
     b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
                                                 params.n_users_low)
-
-    shape = h_b.shape
-    if menu.rho_high < c_s:
-        pi_b = np.zeros(shape)
-        pi_s = np.zeros(shape)
-        use_high = np.zeros(shape, dtype=bool)
-    elif menu.rho_low < c_s:
-        pi_b, pi_s = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-        use_high = np.ones(shape, dtype=bool)
+    pi_b, pi_s, delta = _at_fee(h_b, h_s, menu.rho_low, n_b, n_s, params)
+    if menu.rho_high >= params.storage_cost_per_byte:
+        use_high = delta > params.mean_tx_size * menu.rho_high
     else:
-        pib_lo, pis_lo = _pi_rates(h_b, h_s, menu.rho_low, n_b, n_s, params)
-        if params.impatience == 0.0:
-            # waiting is free, so nobody pays the higher fee
-            use_high = np.zeros(shape, dtype=bool)
-        else:
-            delta = _delta(h_b, h_s, pib_lo, pis_lo, menu.rho_low, n_b, n_s, params)
-            use_high = delta > params.mean_tx_size * menu.rho_high
-        if np.any(use_high):
-            pib_hi, pis_hi = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-            pi_b = np.where(use_high, pib_hi, pib_lo)
-            pi_s = np.where(use_high, pis_hi, pis_lo)
-        else:
-            pi_b, pi_s = pib_lo, pis_lo
+        use_high = np.zeros(delta.shape, dtype=bool)
+    if use_high.any():
+        pib_hi, pis_hi = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+        pi_b = np.where(use_high, pib_hi, pi_b)
+        pi_s = np.where(use_high, pis_hi, pi_s)
 
     lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
     return lam_h, lam_l, use_high

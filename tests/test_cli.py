@@ -37,12 +37,14 @@ def test_sweep_jain_equals_list_form(n_users):
         assert row[f"{prefix}_jain"] == jain_index(payoffs)
 
 
-def test_internal_error_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--axis", "gamma", "--steps", "2"]],
+                         ids=["solve", "sweep"])
+def test_internal_error_exits_3(capsys, monkeypatch, argv):
     def broken(*args, **kwargs):
         raise InvariantError("negative square-root argument on an active branch")
 
     monkeypatch.setattr(fwt.cli, "optimal_mechanism", broken)
-    code, out, err = run_cli(["solve"], capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: negative square-root")

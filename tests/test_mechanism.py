@@ -302,7 +302,6 @@ def test_oracle_bitwise_matches_pair_loop_at_default_grid():
 def test_oracle_skips_menus_with_nan_welfare(monkeypatch, table_params):
     """A NaN rate poisons every menu whose welfare row uses it; those menus
     are skipped in both implementations, and the winner moves."""
-    import fwt.mechanism as mechanism_mod
     import fwt.user_game as user_game_mod
 
     clean = unconstrained_optimum_oracle(table_params, 12)
@@ -316,7 +315,6 @@ def test_oracle_skips_menus_with_nan_welfare(monkeypatch, table_params):
         return pi_b, pi_s
 
     monkeypatch.setattr(user_game_mod, "_pi_rates", poisoned)
-    monkeypatch.setattr(mechanism_mod, "_pi_rates", poisoned)
     result = unconstrained_optimum_oracle(table_params, 12)
     assert result == _pair_loop_oracle(table_params, 12)
     assert result.menu != clean.menu
@@ -397,6 +395,5 @@ def test_hetero_sufficient_fee_against_hetero_bound(table_params):
     mech, p_eff = optimal_mechanism_hetero(p, hc)
     out = induced_outcome(mech, p_eff)
     assert out.profile.rates_high_type.total > 0
-    _, ok = sufficient_fee_check(out, mech.menu, p_eff,
-                                 system_cost_per_byte=p_eff.system_storage_per_byte)
+    _, ok = sufficient_fee_check(out, mech.menu, p_eff)
     assert ok

@@ -11,8 +11,6 @@ from fwt.miner_game import (
     check_miner_nash,
     equilibrium_selection,
     miner_payoff,
-    pool_from_csv,
-    pool_to_csv,
     storage_cost,
     uniform_profile,
 )
@@ -172,12 +170,3 @@ def test_pool_rejects_duplicates_and_sorts():
         TxPool([tx(0, 0), tx(0, 0, t=1.0)])
     pool = TxPool([tx(1, 0, t=2.0), tx(0, 0, t=1.0)])
     assert [t.user_id for t in pool] == [0, 1]
-
-
-def test_pool_csv_round_trip():
-    pool = TxPool([tx(0, 0, size=151.5, fee=2.25e-9, t=0.125),
-                   tx(1, 3, size=99.0, fee=0.0, t=7.5)])
-    text = pool_to_csv(pool)
-    back = pool_from_csv(text)
-    assert back.transactions == pool.transactions
-    assert text.splitlines()[0] == "user_id,tx_index,size_bytes,fee_per_byte,gen_time"

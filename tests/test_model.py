@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from fwt.model import (
     SystemParams,
     TaxVector,
     apply_overrides,
-    dump_config,
     params_from_mapping,
     parse_config,
     require_valid,
@@ -88,14 +87,25 @@ def test_rate_pair_feasibility():
         RatePair(-0.1, 0.0)
 
 
+def _config_text(p: SystemParams) -> str:
+    """`p` in the flat `key = value` config format, floats by repr."""
+    lines = [f"{f.name} = {getattr(p, f.name)!r}"
+             for f in fields(p) if f.name != "mining_power"]
+    if p.mining_power is not None:
+        lines.append("mining_power = " + ",".join(repr(a) for a in p.mining_power))
+    return "\n".join(lines) + "\n"
+
+
 def test_config_round_trip(table_params):
-    text = dump_config(table_params)
+    text = _config_text(table_params)
+    assert text.splitlines()[0] == "n_users_high = 100"
     assert params_from_mapping(parse_config(text)) == table_params
 
 
 def test_config_round_trip_with_power_vector():
     p = replace(SystemParams(), n_miners=3, mining_power=(0.5, 0.25, 0.25))
-    assert params_from_mapping(parse_config(dump_config(p))) == p
+    assert "mining_power = 0.5,0.25,0.25" in _config_text(p)
+    assert params_from_mapping(parse_config(_config_text(p))) == p
 
 
 def test_config_comments_and_errors():
@@ -134,7 +144,7 @@ def test_valid_params_round_trip(n_h, n_l, m, mu, gamma, sbar, c_s, r_low, r_spr
         utility_high=r_low * r_spread, utility_low=r_low,
     )
     assert validate_params(p) == []
-    assert params_from_mapping(parse_config(dump_config(p))) == p
+    assert params_from_mapping(parse_config(_config_text(p))) == p
     assert math.isclose(float(p.powers().sum()), 1.0, abs_tol=1e-9)
 
 
