@@ -1,39 +1,32 @@
 #!/usr/bin/env python3
 """Cross-validate the closed forms against the discrete-event simulator.
 
-Runs the waiting-time validation profiles (including the hand-computable
-two-class point) and then simulates the optimal mechanism's equilibrium at
-the evaluation defaults, comparing measured welfare and per-type payoffs
-against the analytic values.
+Runs the Lemma-1 waiting-time suite (`fwt check lemma1`, including the
+hand-computable two-class point) and prints its lines, then simulates the
+optimal mechanism's equilibrium at the evaluation defaults, comparing
+measured welfare and per-type payoffs against the analytic values. Exits 1
+when the Lemma-1 suite fails.
 """
 import argparse
-import time
+import sys
 
-from fwt.checks import lemma1_profiles
+from fwt.checks import check_lemma1
 from fwt.mechanism import induced_outcome, optimal_mechanism, social_welfare
 from fwt.model import SystemParams
-from fwt.sim import SimConfig, run, validate_lemma1
+from fwt.sim import SimConfig, run
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--replications", type=int, default=10)
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    failures = 0
-    for i, (label, params, menu, profile) in enumerate(lemma1_profiles()):
-        t0 = time.perf_counter()
-        results = validate_lemma1(params, menu, profile,
-                                  replications=args.replications,
-                                  horizon=args.horizon, seed=args.seed + i)
-        dt = time.perf_counter() - t0
-        for r in results:
-            mark = "ok " if r.passed else "FAIL"
-            failures += 0 if r.passed else 1
-            print(f"{mark} {label} [{r.user_type}] analytic={r.analytic:.6g} "
-                  f"measured={r.measured:.6g} ci=+/-{r.ci_half:.2g} ({dt:.0f}s)")
+    lemma1 = check_lemma1(replications=args.replications, horizon=args.horizon,
+                          seed=args.seed)
+    for line in lemma1.details:
+        print(line)
 
     params = SystemParams()
     mech = optimal_mechanism(params)
@@ -50,8 +43,8 @@ def main():
           f"simulated={report.type_payoff_mean['H']:.6g}")
     print(f"payoff L: analytic={out.payoff_low:.6g} "
           f"simulated={report.type_payoff_mean['L']:.6g}")
-    raise SystemExit(1 if failures else 0)
+    return 0 if lemma1.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,6 +27,9 @@ from .queue import own_rate_float, sojourn, welfare_rate
 
 __all__ = ["ExistingOutcome", "existing_equilibrium", "verify_existing"]
 
+FEE_GRID_POINTS = 200
+MAX_ITERS = 300
+
 
 @dataclass(frozen=True)
 class ExistingOutcome:
@@ -36,30 +39,13 @@ class ExistingOutcome:
     fee_low_type: float
     rate_high_type: float
     rate_low_type: float
-    waiting_rate_high: float
-    waiting_rate_low: float
     payoff_high: float
     payoff_low: float
     avg_fee_per_byte: float
     welfare: float
     converged: bool
     iterations: int
-    fee_grid_points: int
-    cycle_len: int  # 1 at a fixed point, k on a k-cycle, 0 if max_iters ran out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sne_kind": "Existing",
-            "fee_used": {"H": self.fee_high_type, "L": self.fee_low_type},
-            "rates": {
-                "H": {"rate_high": self.rate_high_type, "rate_low": 0.0},
-                "L": {"rate_high": self.rate_low_type, "rate_low": 0.0},
-            },
-            "waiting_rate": {"H": self.waiting_rate_high, "L": self.waiting_rate_low},
-            "payoff": {"H": self.payoff_high, "L": self.payoff_low},
-            "avg_fee_per_byte": self.avg_fee_per_byte,
-            "converged": self.converged,
-        }
+    cycle_len: int  # 1 at a fixed point, k on a k-cycle, 0 if MAX_ITERS ran out
 
 
 def _fee_grid(params: SystemParams, points: int) -> np.ndarray:
@@ -138,7 +124,7 @@ def _rate_and_payoff(r_n: float, n_own: int, above: float, same: float, fee: flo
 
 
 def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: float):
-    """Waits, payoffs, welfare and rate-weighted average fee of a state."""
+    """Payoffs, welfare and rate-weighted average fee of a state."""
     fi_h, lam_h, fi_l, lam_l = state
     mu = params.block_rate
     gamma = params.impatience
@@ -169,11 +155,10 @@ def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: floa
         avg_fee = math.nan
     else:
         avg_fee = (n_h * lam_h * grid[fi_h] + n_l * lam_l * grid[fi_l]) / total
-    return w_h, w_l, u_h, u_l, welfare, float(avg_fee)
+    return u_h, u_l, welfare, float(avg_fee)
 
 
-def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
-                         max_iters: int = 300,
+def existing_equilibrium(params: SystemParams,
                          system_cost_per_byte: float | None = None) -> ExistingOutcome:
     """Round-robin best-response equilibrium of the no-tax fee game.
 
@@ -182,7 +167,7 @@ def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
     and the cycle's length in cycle_len.
     """
     require_valid(params)
-    grid = _fee_grid(params, fee_grid_points)
+    grid = _fee_grid(params, FEE_GRID_POINTS)
     n_h, n_l = params.n_users_high, params.n_users_low
     cap = params.max_rate_per_user
     scb = (params.system_storage_per_byte
@@ -193,7 +178,7 @@ def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
     history = [state]
     cycle_len = 0
     iterations = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         iterations = it
         fi_h, lam_h, fi_l, lam_l = state
         fi_h, lam_h, _ = _best_response(
@@ -217,30 +202,27 @@ def existing_equilibrium(params: SystemParams, fee_grid_points: int = 200,
         history.append(new_state)
         state = new_state
 
-    w_h, w_l, u_h, u_l, welfare, avg_fee = _state_metrics(state, grid, params, scb)
+    u_h, u_l, welfare, avg_fee = _state_metrics(state, grid, params, scb)
     fi_h, lam_h, fi_l, lam_l = state
     return ExistingOutcome(
         fee_high_type=float(grid[fi_h]),
         fee_low_type=float(grid[fi_l]),
         rate_high_type=lam_h,
         rate_low_type=lam_l,
-        waiting_rate_high=w_h,
-        waiting_rate_low=w_l,
         payoff_high=u_h,
         payoff_low=u_l,
         avg_fee_per_byte=avg_fee,
         welfare=welfare,
         converged=cycle_len == 1,
         iterations=iterations,
-        fee_grid_points=fee_grid_points,
         cycle_len=cycle_len,
     )
 
 
 def verify_existing(outcome: ExistingOutcome, params: SystemParams,
                     eps: float = 1e-9) -> bool:
-    """Check the outcome is a best-response fixed point on its own grid."""
-    grid = _fee_grid(params, outcome.fee_grid_points)
+    """Check the outcome is a best-response fixed point on the fee grid."""
+    grid = _fee_grid(params, FEE_GRID_POINTS)
     n_h, n_l = params.n_users_high, params.n_users_low
     fi_h = int(np.argmin(np.abs(grid - outcome.fee_high_type)))
     fi_l = int(np.argmin(np.abs(grid - outcome.fee_low_type)))

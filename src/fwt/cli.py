@@ -141,7 +141,7 @@ SWEEP_COLUMNS = [
 
 
 def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int,
-               tax_split: str = "fairness", fee_grid_points: int = 200):
+               tax_split: str = "fairness"):
     """One CSV row per sweep point; per-point failures land in `error`, but
     an internal `InvariantError` stops the sweep."""
     values = np.linspace(lo, hi, steps)
@@ -173,8 +173,7 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
             # baseline miners accept at the cheapest miner's threshold;
             # welfare still charges true (possibly hetero-averaged) storage
             existing = existing_equilibrium(
-                p, fee_grid_points=fee_grid_points,
-                system_cost_per_byte=bound if hetero is not None else None)
+                p, system_cost_per_byte=bound if hetero is not None else None)
 
             n_h, n_l = p_eff.n_users_high, p_eff.n_users_low
             fwt_payoffs = per_user_payoffs(outcome.payoff_high, outcome.payoff_low, n_h, n_l)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", action="append", metavar="K=V",
                        help="parameter override (repeatable)")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tax-split", choices=["fairness", "uniform"],
                        default="fairness", dest="tax_split")
 
@@ -289,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at the solved SNE")
     common(p_sim)
     p_sim.add_argument("--hetero", metavar="ratio=X[,cost_low=Y][,split=Z]")
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--replications", type=int, default=10)
     p_sim.add_argument("--warmup", type=float, default=0.1)

@@ -74,20 +74,33 @@ def _make_menu(rho_high: float, rho_low: float) -> FeeMenu:
     return FeeMenu(rho_high=rho_high, rho_low=rho_low)
 
 
-def _case2_rates(params: SystemParams) -> tuple[float, float]:
-    """Welfare-optimal per-user generation rates (g1 for H, g2 for L)."""
+def _case2(params: SystemParams) -> tuple[float, float, float, float, float] | None:
+    """Theorem 3's case: None at or below the boundary R_H <= storage +
+    gamma/mu (case 1), else (g1, g2, x, q_high, q_low): the optimal per-user
+    rates of H and L, the capacity x = mu - n_H g1 - n_L g2 they leave
+    unused, and the tax row sums that price the waiting externality. One
+    storage value per transaction, (M C_s) sbar, serves all of them, and g1
+    is clamped at 0 against rounding just above the boundary.
+    """
     mu = params.block_rate
     gamma = params.impatience
     n_h, n_l = params.n_users_high, params.n_users_low
-    storage = params.n_miners * params.mean_tx_size * params.storage_cost_per_byte
+    storage = params.system_storage_per_byte * params.mean_tx_size
+    if params.utility_high <= storage + gamma / mu:
+        return None
     cap = mu / (n_h + n_l)
-    g1 = min(cap, (mu - math.sqrt(gamma * mu / (params.utility_high - storage))) / n_h)
-    low_threshold = storage + gamma * (n_h + n_l) ** 2 / (n_l**2 * mu)
-    if params.utility_low <= low_threshold:
+    margin_h = params.utility_high - storage
+    margin_l = params.utility_low - storage
+    g1 = min(cap, max(0.0, (mu - math.sqrt(gamma * mu / margin_h)) / n_h))
+    if params.utility_low <= storage + gamma * (n_h + n_l) ** 2 / (n_l**2 * mu):
         g2 = 0.0
     else:
-        g2 = cap - math.sqrt(gamma * mu / (params.utility_low - storage)) / n_l
-    return g1, g2
+        g2 = cap - math.sqrt(gamma * mu / margin_l) / n_l
+    x = mu - n_h * g1 - n_l * g2
+    if gamma == 0.0:
+        return g1, g2, x, margin_h, margin_l
+    return (g1, g2, x, margin_h - gamma * (x + g1) / (x * x),
+            margin_l - gamma * (x + g2) / (x * x))
 
 
 def _split_entries(q_high: float, q_low: float, menu: FeeMenu,
@@ -146,25 +159,16 @@ def optimal_mechanism(params: SystemParams, tax_split: str = "fairness") -> Mech
     gamma = params.impatience
     sbar = params.mean_tx_size
     rho_low = params.system_storage_per_byte  # M * C_s
-    threshold = rho_low * sbar + gamma / mu
-
-    if params.utility_high <= threshold:
+    case2 = _case2(params)
+    if case2 is None:
         menu = _make_menu(rho_low + gamma / (sbar * mu), rho_low)
         q_high = q_low = 0.0
         case = 1
-        tax = _split_entries(q_high, q_low, menu, params, tax_split)
     else:
         menu = _make_menu(params.utility_high / sbar - gamma / (sbar * mu), rho_low)
-        g1, g2 = _case2_rates(params)
-        x = mu - params.n_users_high * g1 - params.n_users_low * g2
-        if gamma == 0.0:
-            q_high = params.utility_high - rho_low * sbar
-            q_low = params.utility_low - rho_low * sbar
-        else:
-            q_high = params.utility_high - rho_low * sbar - gamma * (x + g1) / (x * x)
-            q_low = params.utility_low - rho_low * sbar - gamma * (x + g2) / (x * x)
+        q_high, q_low = case2[3:]
         case = 2
-        tax = _split_entries(q_high, q_low, menu, params, tax_split)
+    tax = _split_entries(q_high, q_low, menu, params, tax_split)
     return Mechanism(menu=menu, tax=tax, q_high=q_high, q_low=q_low, case=case)
 
 
@@ -352,8 +356,10 @@ def unconstrained_optimum_oracle(params: SystemParams,
     assert best is not None
     i, j, k = best
     used = i if delta[j, k] > sbar * fee_grid[i] else j
-    pi_b, pi_s, _ = _at_fee(h_b, h_s, float(fee_grid[used]), n_b, n_s, params)
-    lam_h, lam_l = by_role(b_is_high[k], pi_b[k], pi_s[k])
+    cell = slice(k, k + 1)
+    pi_b, pi_s, _ = _at_fee(h_b[cell], h_s[cell], float(fee_grid[used]), n_b[cell],
+                            n_s[cell], params)
+    lam_h, lam_l = by_role(b_is_high[k], pi_b[0], pi_s[0])
     return OracleResult(
         welfare=best_w,
         menu=FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j])),
@@ -386,15 +392,10 @@ def tax_comparison(params: SystemParams) -> TaxComparison:
     larger total waiting tax exactly when R_H - R_L < delta.
     """
     require_valid(params)
-    mu = params.block_rate
-    gamma = params.impatience
-    sbar = params.mean_tx_size
-    storage = params.n_miners * sbar * params.storage_cost_per_byte
-    if params.utility_high <= storage + gamma / mu:
+    case2 = _case2(params)
+    if case2 is None:
         raise ValueError("tax comparison requires the generating case "
                          "(R_H above the storage-plus-waiting threshold)")
-    g1, g2 = _case2_rates(params)
-    x = mu - params.n_users_high * g1 - params.n_users_low * g2
-    delta = gamma * (g1 - g2) / (x * x)
-    mech = optimal_mechanism(params, tax_split="uniform")
-    return TaxComparison(delta=delta, q_high=mech.q_high, q_low=mech.q_low)
+    g1, g2, x, q_high, q_low = case2
+    return TaxComparison(delta=params.impatience * (g1 - g2) / (x * x),
+                         q_high=q_high, q_low=q_low)

@@ -146,11 +146,11 @@ class MinerDeviation:
 
 
 def check_miner_nash(profile: Sequence[Selection], pool: TxPool,
-                     params: SystemParams, eps: float = 0.0) -> MinerDeviation | None:
+                     params: SystemParams) -> MinerDeviation | None:
     """Exhaustively test every miner's unilateral deviation over {None} + pool.
 
-    Returns None when no deviation improves that miner's round payoff by
-    more than eps, else the first violation found. The gain of switching
+    Returns None when no deviation improves that miner's round payoff at
+    all (eps = 0), else the first violation found. The gain of switching
     from tx a to tx b is alpha_m * (net(b) - net(a)) with
     net(t) = size*(fee - C_s); this factored form is the exact payoff
     difference and keeps identical alternatives at exactly zero gain.
@@ -171,7 +171,7 @@ def check_miner_nash(profile: Sequence[Selection], pool: TxPool,
             continue
         current = net(profile[m])
         gain = alphas[m] * (best_net - current)
-        if gain > eps:
+        if gain > 0.0:
             deviation = max(candidates, key=net)
             return MinerDeviation(miner=m, deviation=deviation, gain=gain)
     return None

@@ -375,14 +375,13 @@ class UserDeviation:
 
 
 def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
-                        params: SystemParams, grid: int = 101,
-                        eps: float | None = None) -> UserDeviation | None:
+                        params: SystemParams, grid: int = 101) -> UserDeviation | None:
     """Grid-certify that no single user gains by deviating from the SNE.
 
     Sweeps one deviating user's (rate_high, rate_low) over the feasible
     triangle at the given per-axis resolution while everyone else holds the
     SNE profile. Returns None when no grid point beats the SNE payoff by
-    more than eps (default 1e-9 * max(1, |payoff|)).
+    more than 1e-9 * max(1, |payoff|).
     """
     cap = params.max_rate_per_user
     xs = np.linspace(0.0, cap, grid)
@@ -402,9 +401,7 @@ def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
                                          menu, tax, params)
 
         u0 = float(payoff(own.rate_high, own.rate_low))
-        if eps is not None:
-            tol = eps
-        elif math.isfinite(u0):
+        if math.isfinite(u0):
             tol = 1e-9 * max(1.0, abs(u0))
         else:
             # infinitely bad base point: any finite improvement counts

@@ -87,7 +87,7 @@ def test_criterion_3_waiting_time_oracle():
 def test_criterion_4_equilibrium_certification():
     start = time.perf_counter()
     miner = check_miner_ne(budget=1000, seed=5)
-    user = check_user_ne(points_per_axis=5, grid=101, seed=5)
+    user = check_user_ne(points_per_axis=5, grid=101)
     elapsed = time.perf_counter() - start
     _report(4, "miner NE at eps=0 (1000 pools) + user SNE grid certification",
             miner.passed and user.passed and elapsed < 300.0,

@@ -183,13 +183,6 @@ def test_hetero_accounting_changes_welfare_not_equilibrium(table_params):
     assert shifted.welfare < base.welfare
 
 
-def test_json_shape(table_params):
-    doc = existing_equilibrium(table_params).to_json_dict()
-    assert set(doc) >= {"sne_kind", "fee_used", "rates", "waiting_rate",
-                        "payoff", "avg_fee_per_byte", "converged"}
-    assert doc["sne_kind"] == "Existing"
-
-
 def _best_response_state(n_own, n_other, gamma, points, r_frac, fi_pick, load_frac):
     """(r_n, n_own, other_fi, other_load, grid, params) from plain draws:
     r_n as a fraction of the grid's top fee times sbar, the rival's fee as

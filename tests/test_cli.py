@@ -37,8 +37,11 @@ def test_sweep_jain_equals_list_form(n_users):
         assert row[f"{prefix}_jain"] == jain_index(payoffs)
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--axis", "gamma", "--steps", "2"]],
-                         ids=["solve", "sweep"])
+SOLVE_AND_SWEEP = pytest.mark.parametrize(
+    "argv", [["solve"], ["sweep", "--axis", "gamma", "--steps", "2"]], ids=["solve", "sweep"])
+
+
+@SOLVE_AND_SWEEP
 def test_internal_error_exits_3(capsys, monkeypatch, argv):
     def broken(*args, **kwargs):
         raise InvariantError("negative square-root argument on an active branch")
@@ -48,6 +51,17 @@ def test_internal_error_exits_3(capsys, monkeypatch, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: negative square-root")
+
+
+@SOLVE_AND_SWEEP
+def test_seed_rejected_where_nothing_is_random(capsys, argv):
+    """--seed belongs to simulate and check; solve and sweep reject it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
 
 
 def test_solve_defaults(capsys):

@@ -7,6 +7,7 @@ import pytest
 from fwt.checks import prop2_draws
 from fwt.mechanism import (
     OracleResult,
+    _case2,
     induced_outcome,
     optimal_mechanism,
     optimal_mechanism_hetero,
@@ -82,6 +83,33 @@ def test_case1_below_threshold(table_params):
     assert out.sne_kind is SneKind.NO_GENERATION
     # just above the boundary flips to the generating case
     assert optimal_mechanism(replace(p, utility_high=p.utility_high * 1.0001)).case == 2
+
+
+@pytest.mark.parametrize("n_miners, c_s", [(4985, 9.491629526658716e-10),
+                                            (17530, 4.771906221652024e-10)])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_case_boundary_is_one_decision(n_miners, c_s, ulps):
+    """Within an ulp of Theorem 3's boundary, `optimal_mechanism` and
+    `tax_comparison` take the same case, and case 2's g1 is not negative.
+    At these (M, C_s) the storage orders (M sbar) C_s and (M C_s) sbar
+    differ in the last bit."""
+    p = replace(SystemParams(), n_miners=n_miners, storage_cost_per_byte=c_s)
+    storage = p.system_storage_per_byte * p.mean_tx_size
+    assert storage != p.n_miners * p.mean_tx_size * p.storage_cost_per_byte
+    threshold = storage + p.impatience / p.block_rate
+    r_high = {-1: math.nextafter(threshold, 0.0), 0: threshold,
+              1: math.nextafter(threshold, math.inf)}[ulps]
+    p = replace(p, utility_high=r_high, utility_low=r_high / 2.0)
+    case = optimal_mechanism(p).case
+    assert case == (2 if ulps == 1 else 1)
+    try:
+        tax_comparison(p)
+        raised = False
+    except ValueError:
+        raised = True
+    assert raised == (case == 1)
+    if case == 2:
+        assert _case2(p)[0] >= 0.0
 
 
 def test_fairness_split_equalizes_payoffs(table_params):

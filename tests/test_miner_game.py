@@ -112,7 +112,7 @@ def test_check_flags_dominated_selection():
     p = two_miner_params(alpha=(0.25, 0.75), c_s=1e-9)
     bad = tx(0, 0, size=150.0, fee=0.4e-9)
     pool = TxPool([bad])
-    dev = check_miner_nash([bad, None], pool, p, eps=0.0)
+    dev = check_miner_nash([bad, None], pool, p)
     assert dev is not None and dev.miner == 0 and dev.deviation is None
     assert dev.gain == pytest.approx(0.25 * 150.0 * (1e-9 - 0.4e-9), rel=1e-12)
 
@@ -121,7 +121,7 @@ def test_single_miner_max_fee_selection_is_nash():
     p = replace(SystemParams(), n_miners=1, mining_power=(1.0,), storage_cost_per_byte=1e-9)
     t = tx(0, 0, fee=5e-9)
     pool = TxPool([t, tx(1, 0, fee=2e-9)])
-    assert check_miner_nash([t], pool, p, eps=0.0) is None
+    assert check_miner_nash([t], pool, p) is None
 
 
 def test_theorem1_not_nash_under_size_heterogeneity():
@@ -135,7 +135,7 @@ def test_theorem1_not_nash_under_size_heterogeneity():
     pool = TxPool([small_top, big_second])
     sel = equilibrium_selection(pool, p)
     assert sel == small_top  # rule still picks the highest fee-per-byte
-    dev = check_miner_nash(uniform_profile(sel, p), pool, p, eps=0.0)
+    dev = check_miner_nash(uniform_profile(sel, p), pool, p)
     assert dev is not None and dev.deviation == big_second
     # net surplus ordering is what the deviation exploits
     assert 1000.0 * (2.9e-9 - 1e-9) > 10.0 * (3e-9 - 1e-9)
@@ -162,7 +162,7 @@ def test_equilibrium_is_nash_on_uniform_size_pools(fees, times, m, data):
     sel = equilibrium_selection(pool, p)
     top_fee = max(f.fee_per_byte for f in pool)
     assert (sel is not None) == (top_fee >= p.storage_cost_per_byte)
-    assert check_miner_nash(uniform_profile(sel, p), pool, p, eps=0.0) is None
+    assert check_miner_nash(uniform_profile(sel, p), pool, p) is None
 
 
 def test_pool_rejects_duplicates_and_sorts():

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from fwt.checks import check_lemma1
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.model import SystemParams
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_evaluation_sweeps.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("run_evaluation_sweeps", SCRIPT)
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -23,7 +24,7 @@ def _load_script():
 def test_run_evaluation_sweeps_writes_sweep_rows(tmp_path, capsys, flags):
     """The script writes one CSV per axis, each the CSV of sweep_rows over
     the axis's default range (the paper-scale user range with the flag)."""
-    script = _load_script()
+    script = _load_script("run_evaluation_sweeps")
     script.main(["--out-dir", str(tmp_path)] + flags)
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -39,3 +40,19 @@ def test_run_evaluation_sweeps_writes_sweep_rows(tmp_path, capsys, flags):
         writer.writerows(sweep_rows(params, axis, lo, hi, steps))
         with (tmp_path / f"sweep_{axis}.csv").open(newline="") as fh:
             assert fh.read() == buf.getvalue()
+
+
+@pytest.mark.parametrize("horizon", ["50", "20"], ids=["passing", "failing"])
+def test_validate_against_simulator_prints_lemma1_suite(capsys, horizon):
+    """The script prints the Lemma-1 suite's lines for its arguments and
+    exits 0 exactly when that suite passes; at seed 0 and 2 replications
+    the suite passes at horizon 50 and fails at horizon 20."""
+    script = _load_script("validate_against_simulator")
+    code = script.main(["--replications", "2", "--horizon", horizon, "--seed", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    suite = check_lemma1(replications=2, horizon=float(horizon), seed=0)
+    assert suite.passed == (horizon == "50")
+    assert lines[:len(suite.details)] == suite.details
+    assert [line.split(":")[0] for line in lines[len(suite.details):]] == [
+        "welfare", "payoff H", "payoff L"]
+    assert code == (0 if suite.passed else 1)
