@@ -1,7 +1,9 @@
 """Command-line harness: solve / sweep / simulate / check.
 
 Machine-readable output only (JSON and CSV); exit codes are 0 for success,
-1 for a failed check, 2 for invalid input, 3 for an internal error.
+1 for a failed check, 2 for invalid input, 3 for an internal error, and
+141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout closed
+it early.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_params(args) -> SystemParams:
@@ -88,6 +92,7 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
 
 
 def _solve_point(params: SystemParams, tax_split: str,
@@ -315,6 +320,14 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader of stdout is gone (`fwt solve | head -1`): not an input
+        # error. Point stdout at devnull so that the flush at exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -97,8 +97,8 @@ def _case2(params: SystemParams) -> tuple[float, float, float, float, float] | N
     else:
         g2 = cap - math.sqrt(gamma * mu / margin_l) / n_l
     x = mu - n_h * g1 - n_l * g2
-    if gamma == 0.0:
-        return g1, g2, x, margin_h, margin_l
+    if gamma == 0.0:    # no waiting externality to price
+        return g1, g2, x, 0.0, 0.0
     return (g1, g2, x, margin_h - gamma * (x + g1) / (x * x),
             margin_l - gamma * (x + g2) / (x * x))
 

@@ -22,10 +22,14 @@ alone (`_t_quantile`: the closed-form t distribution function for integer
 degrees of freedom, inverted by Newton's method), which keeps the import of
 a statistics library off every process's start-up.
 
-Reproducibility: one root seed spawns one deterministic substream per
-random source (block process, winner draws, then one per user-class), so
-adding users never perturbs existing streams. All exponential draws use
-the inverse CDF.
+Reproducibility: the root seed spawns one seed sequence per replication,
+and each replication numbers its random sources: child 0 draws the block
+process, child 1 the block winners, and child 2 + 2u + c the arrivals of
+user u in fee class c. Adding users never perturbs existing streams. Each
+child is the one `spawn` would return, built alone and only where it draws:
+a stream whose rate is 0 builds no generator, and the winners are drawn
+only in the first replication, the one whose event log is reported (no
+other output reads them). All exponential draws use the inverse CDF.
 """
 from __future__ import annotations
 
@@ -84,21 +88,70 @@ class SimConfig:
                 + [self.profile.rates_low_type] * p.n_users_low)
 
 
-def _inv_cdf_exponential(gen: np.random.Generator, rate: float, n: int) -> np.ndarray:
-    return -np.log1p(-gen.random(n)) / rate
+def _child(seed_seq: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """The i-th child `seed_seq.spawn` would return next, built alone."""
+    return np.random.SeedSequence(
+        seed_seq.entropy,
+        spawn_key=seed_seq.spawn_key + (seed_seq.n_children_spawned + i,),
+        pool_size=seed_seq.pool_size)
 
 
-def _poisson_arrivals(gen: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Arrival times of a Poisson process on [0, horizon]."""
-    if rate <= 0.0:
-        return np.empty(0)
-    expected = rate * horizon
-    chunk = max(64, int(expected + 6.0 * math.sqrt(expected) + 16))
-    times = np.cumsum(_inv_cdf_exponential(gen, rate, chunk))
-    while times[-1] <= horizon:
-        more = times[-1] + np.cumsum(_inv_cdf_exponential(gen, rate, chunk))
-        times = np.concatenate([times, more])
-    return times[times <= horizon]
+def _chunk_sizes(expected: np.ndarray) -> np.ndarray:
+    """Gaps drawn per chunk at these expected counts: six standard deviations
+    above the mean plus 16, and at least 64."""
+    return np.maximum(64, (expected + 6.0 * np.sqrt(expected) + 16).astype(np.int64))
+
+
+def _poisson_arrivals(seed_seq: np.random.SeedSequence, first: int, rates,
+                      horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times on [0, horizon] of independent Poisson processes.
+
+    Process i runs at rates[i] and draws from child first + i of `seed_seq`;
+    only a process with a positive rate builds its generator. It draws its
+    exponential gaps by the inverse CDF in chunks of a size set by its
+    expected count, and draws another chunk while its last time is at or
+    before the horizon. Processes of one chunk size share a 2-D array, one
+    row each, filled by their own generators: the gaps are elementwise and
+    the running sum is sequential along a row, so each row equals its
+    process drawn alone. Returns the times concatenated in process order and
+    each process's count.
+    """
+    rates = np.asarray(rates, dtype=float)
+    live = np.flatnonzero(rates > 0.0)
+    chunks = _chunk_sizes(rates[live] * horizon)
+    counts = np.zeros(len(rates), dtype=np.int64)
+    parts = []      # (processes, their times one after the other)
+    for chunk in np.unique(chunks).tolist():
+        rows = live[chunks == chunk]
+        gens = [np.random.Generator(np.random.PCG64(_child(seed_seq, first + i)))
+                for i in rows.tolist()]
+        gaps = np.empty((len(rows), chunk))
+        for gen, row in zip(gens, gaps):
+            gen.random(out=row)
+        times = np.cumsum(-np.log1p(-gaps) / rates[rows, None], axis=1)
+        keep = times <= horizon
+        over = times[:, -1] <= horizon
+        for j in np.flatnonzero(over).tolist():
+            t, rate = times[j], rates[rows[j]]
+            while t[-1] <= horizon:
+                more = t[-1] + np.cumsum(-np.log1p(-gens[j].random(chunk)) / rate)
+                t = np.concatenate([t, more])
+            t = t[t <= horizon]
+            parts.append((rows[j:j + 1], t))
+            counts[rows[j]] = len(t)
+            keep[j] = False
+        counts[rows[~over]] = keep[~over].sum(axis=1)
+        parts.append((rows[~over], times[keep]))
+    if len(parts) == 1:     # one part lists its processes in order
+        return parts[0][1], counts
+    # move each part's runs, held back to back, to their processes' offsets
+    start = np.cumsum(counts) - counts
+    out = np.empty(int(counts.sum()))
+    for rows, values in parts:
+        n_row = counts[rows]
+        shift = np.repeat(start[rows] - (np.cumsum(n_row) - n_row), n_row)
+        out[shift + np.arange(len(values))] = values
+    return out, counts
 
 
 def _fifo_served(arrivals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -132,7 +185,8 @@ class _RepResult:
     events: list | None
 
 
-def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence) -> _RepResult:
+def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence,
+                     log_events: bool) -> _RepResult:
     params = config.params
     menu = config.menu
     n = params.n_users
@@ -140,28 +194,16 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence) -> _Re
     sbar = params.mean_tx_size
     c_s = params.storage_cost_per_byte
     horizon = config.horizon
-    rates = config.user_rates()
 
-    children = seed_seq.spawn(2 + 2 * n)
-    block_gen = np.random.Generator(np.random.PCG64(children[0]))
-    winner_gen = np.random.Generator(np.random.PCG64(children[1]))
-
-    block_times = _poisson_arrivals(block_gen, mu, horizon)
-    n_blocks = len(block_times)
-    power_cdf = np.cumsum(params.powers())
-    winners = np.searchsorted(power_cdf, winner_gen.random(n_blocks), side="right")
-    winners = np.minimum(winners, params.n_miners - 1)
-
-    # one stream per (user, class), class 0 = high fee, 1 = low fee; every
+    # child 0 draws the blocks, child 1 the winners and child 2 + 2u + c
+    # the arrivals of user u in class c (0 = high fee, 1 = low fee); every
     # transaction is exactly the mean size
-    stream_times = []
-    for u in range(n):
-        for c, rate in enumerate((rates[u].rate_high, rates[u].rate_low)):
-            gen = np.random.Generator(np.random.PCG64(children[2 + 2 * u + c]))
-            stream_times.append(_poisson_arrivals(gen, rate, horizon))
-    times = np.concatenate(stream_times)
-    user, cls = np.divmod(
-        np.repeat(np.arange(2 * n), [len(t) for t in stream_times]), 2)
+    block_times, _ = _poisson_arrivals(seed_seq, 0, [mu], horizon)
+    n_blocks = len(block_times)
+    rates = np.array([(r.rate_high, r.rate_low) for r in config.user_rates()],
+                     dtype=float).ravel()
+    times, counts = _poisson_arrivals(seed_seq, 2, rates, horizon)
+    user, cls = np.divmod(np.repeat(np.arange(2 * n), counts), 2)
     by_time = np.argsort(times, kind="stable")   # ties in user order
 
     # the high class runs on every block, the low class on the blocks left
@@ -232,7 +274,11 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence) -> _Re
                             Fraction(0)))
 
     events = None
-    if config.log_events:
+    if log_events:
+        winner_gen = np.random.Generator(np.random.PCG64(_child(seed_seq, 1)))
+        power_cdf = np.cumsum(params.powers())
+        winners = np.searchsorted(power_cdf, winner_gen.random(n_blocks), side="right")
+        winners = np.minimum(winners, params.n_miners - 1)
         events = _event_log(block_times, winners, times, user, cls, served_tx,
                             (menu.rho_high, menu.rho_low))
     return _RepResult(
@@ -404,8 +450,9 @@ class SimReport:
 def run(config: SimConfig) -> SimReport:
     """Run all replications and reduce to means with 95% intervals."""
     root = np.random.SeedSequence(config.seed)
-    reps = [_run_replication(config, child)
-            for child in root.spawn(config.replications)]
+    # only the first replication's event log is reported, so only it is built
+    reps = [_run_replication(config, child, config.log_events and i == 0)
+            for i, child in enumerate(root.spawn(config.replications))]
 
     n_h = config.params.n_users_high
     n_reps = config.replications

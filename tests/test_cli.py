@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,52 @@ def test_solve_defaults(capsys):
     assert doc["outcome"]["sne_kind"] == "LowFeeSNE"
     assert doc["sufficient_fee"]["satisfied"] is True
     assert doc["welfare"]["total"] > 0
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_silently(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        assert main(["solve"]) == 141
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_silently():
+    """`fwt solve | head -c0`: the reader closes the pipe before the write,
+    buffered or not; a flush failing at exit would print to stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "fwt.cli", "solve"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+
+def test_out_path_in_missing_directory_is_invalid_input(tmp_path, capsys):
+    code, out, err = run_cli(["solve", "--out", str(tmp_path / "no" / "x.json")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
 
 
 def test_solve_param_override_and_validation(capsys):

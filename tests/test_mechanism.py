@@ -230,6 +230,21 @@ def test_theorem_matches_oracle_on_coarse_grid(table_params):
     assert abs(w3 - oracle.welfare) <= 0.02 * w3  # coarse grid, loose slack
 
 
+def test_zero_impatience_prices_no_one_out(table_params):
+    """At gamma = 0 there is no waiting externality to price: both types
+    generate and the closed form reaches the grid oracle's welfare."""
+    p = replace(table_params, impatience=0.0)
+    mech = optimal_mechanism(p)
+    assert mech.case == 2
+    out = induced_outcome(mech, p)
+    assert out.profile.rates_high_type.total > 0.0
+    assert out.profile.rates_low_type.total > 0.0
+    welfare = social_welfare(out, mech.menu, mech.tax, p).total
+    oracle = unconstrained_optimum_oracle(p).welfare
+    assert oracle > 0.0
+    assert abs(welfare - oracle) <= 0.01 * oracle
+
+
 def test_oracle_refinement_converges(table_params):
     """Doubling the grid moves the oracle optimum by less than the coarse
     slack and toward the closed-form value."""

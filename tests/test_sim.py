@@ -246,6 +246,97 @@ def test_fifo_served_matches_queue_with_ties(arrivals, blocks):
     assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist())
 
 
+# The arrival draw as the simulator made it before its streams were batched:
+# seed_seq.spawn(2 + 2N) (blocks, winners, then one per user and class), one
+# generator per stream and one chunked inverse-CDF draw per stream.
+def _reference_chunk(expected):
+    return max(64, int(expected + 6.0 * math.sqrt(expected) + 16))
+
+
+def _reference_poisson(gen, rate, horizon, chunk_size):
+    if rate <= 0.0:
+        return np.empty(0)
+    chunk = chunk_size(rate * horizon)
+    times = np.cumsum(-np.log1p(-gen.random(chunk)) / rate)
+    while times[-1] <= horizon:
+        more = times[-1] + np.cumsum(-np.log1p(-gen.random(chunk)) / rate)
+        times = np.concatenate([times, more])
+    return times[times <= horizon]
+
+
+def _assert_streams_match(seed, rates, horizon, block_rate=15.0,
+                          chunk_size=_reference_chunk):
+    children = np.random.SeedSequence(seed).spawn(2 + len(rates))
+    gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    ref_blocks = _reference_poisson(gens[0], block_rate, horizon, chunk_size)
+    ref_streams = [_reference_poisson(gen, rate, horizon, chunk_size)
+                   for gen, rate in zip(gens[2:], rates)]
+    blocks, n_blocks = sim._poisson_arrivals(np.random.SeedSequence(seed), 0,
+                                             [block_rate], horizon)
+    times, counts = sim._poisson_arrivals(np.random.SeedSequence(seed), 2, rates,
+                                          horizon)
+    assert blocks.tolist() == ref_blocks.tolist()
+    assert n_blocks.tolist() == [len(ref_blocks)]
+    assert times.tolist() == np.concatenate(ref_streams).tolist()
+    assert counts.tolist() == [len(t) for t in ref_streams]
+
+
+@pytest.mark.parametrize("rates", [
+    [0.0] * 6,
+    [0.0, 0.5, 1.0, 0.0, 0.5, 2.0, 0.3, 0.0],
+    [0.5, 2.0],
+    [0.0, 1.3],
+    [1.3, 0.7],
+], ids=["all_zero", "mixed_zero", "two_chunk_sizes", "one_user_low_only", "one_user"])
+def test_streams_match_per_stream_reference(rates):
+    _assert_streams_match(5, rates, 100.0)
+
+
+@pytest.mark.parametrize("divisor", [1, 4], ids=["some_rows", "every_row_often"])
+def test_streams_match_reference_when_rows_overrun(monkeypatch, divisor):
+    """Chunks of about the expected count, or a quarter of it, make rows run
+    past their chunk and draw more from their own generators."""
+    monkeypatch.setattr(sim, "_chunk_sizes",
+                        lambda e: np.maximum(1, (e / divisor).astype(np.int64)))
+    for seed in range(4):
+        _assert_streams_match(seed, [1.0, 1.0, 0.0, 1.0, 2.5, 1.0], 60.0,
+                              chunk_size=lambda e: max(1, int(e / divisor)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       rates=st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 3.0),
+                      min_size=1, max_size=5).map(lambda r: r + r[::-1]),
+       horizon=st.floats(0.5, 200.0))
+def test_streams_match_reference_on_random_rates(seed, rates, horizon):
+    _assert_streams_match(seed, rates, horizon)
+
+
+def test_event_log_from_first_replication_only(monkeypatch):
+    """Only the first replication's log is reported, so only it is built;
+    spawn gives the same first child whatever the replication count."""
+    prof = StrategyProfile(RatePair(1.0, 0.5), RatePair(0.5, 1.0))
+    tax = TaxVector(1e-5, -2e-6, 3e-6, 4e-5)
+    built = []
+    event_log = sim._event_log
+    monkeypatch.setattr(sim, "_event_log", lambda *a: built.append(1) or event_log(*a))
+    logged = run(config(prof, tax=tax, reps=10, log_events=True))
+    assert len(built) == 1
+    plain = run(config(prof, tax=tax, reps=10))
+    one = run(config(prof, tax=tax, reps=1, log_events=True))
+    assert plain.events is None
+    assert (json.dumps(logged.to_json_dict(), allow_nan=True)
+            == json.dumps(plain.to_json_dict(), allow_nan=True))
+    assert logged.events == one.events
+    # the winners come from child 1 of the first replication's seed
+    winners = [ev[6] for ev in one.events if ev[1] in ("block", "include")]
+    first = np.random.SeedSequence(11).spawn(1)[0]
+    gen = np.random.Generator(np.random.PCG64(first.spawn(2)[1]))
+    power_cdf = np.cumsum(TWO_USERS.powers())
+    expected = np.searchsorted(power_cdf, gen.random(len(winners)), side="right")
+    assert winners == np.minimum(expected, TWO_USERS.n_miners - 1).tolist()
+
+
 def test_event_log_csv_header():
     prof = StrategyProfile(RatePair(0.5, 0.0), RatePair(0.0, 0.0))
     report = run(config(prof, horizon=50.0, reps=1, log_events=True))
