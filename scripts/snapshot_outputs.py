@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Write the program's outputs to one directory, one file per command.
+
+Two trees that should give the same answers give byte-identical
+directories, so a claim of unchanged output is one `diff -r`:
+
+    PYTHONPATH=<old checkout>/src python3 scripts/snapshot_outputs.py --out-dir A
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py --out-dir B
+    diff -r A B
+
+The commands are `fwt solve` variants, the evaluation sweeps, two seeded
+`fwt simulate` runs with their event logs, and every `fwt check` suite,
+written as its pass flag and detail lines without the duration. Only
+`fwt.cli.main` and `fwt.checks.run_suite` are used, so the script runs
+against any tree that has them.
+"""
+import argparse
+import sys
+from pathlib import Path
+
+from fwt.checks import SUITES, run_suite
+from fwt.cli import main as fwt_main
+from run_evaluation_sweeps import COST_RATIO_PARAMS, STEPS
+
+# (output file, fwt argv); "{events}" becomes the path of the file's event log
+COMMANDS = [
+    ("solve.json", ["solve"]),
+    ("solve_uniform.json", ["solve", "--tax-split", "uniform"]),
+    ("solve_gamma0.json", ["solve", "--param", "impatience=0"]),
+    ("solve_case1.json", ["solve", "--param", "utility_high=5e-4",
+                          "--param", "utility_low=2.5e-4"]),
+    ("solve_hetero.json", ["solve", "--hetero", "ratio=5"]),
+    ("solve_one_high_user.json", ["solve", "--param", "n_users_high=1"]),
+]
+COMMANDS += [
+    (f"sweep_{axis}.csv", ["sweep", "--axis", axis, "--steps", str(steps)]
+     + (COST_RATIO_PARAMS if axis == "cost_ratio" else []))
+    for axis, steps in STEPS.items()
+]
+COMMANDS += [
+    ("sweep_n_users_paper.csv", ["sweep", "--axis", "n_users", "--paper-scale"]),
+    ("simulate.json", ["simulate", "--seed", "1", "--replications", "3",
+                       "--horizon", "2000", "--events", "{events}"]),
+    ("simulate_uniform.json", ["simulate", "--seed", "1", "--replications", "3",
+                               "--horizon", "2000", "--tax-split", "uniform",
+                               "--events", "{events}"]),
+]
+CHECKS = sorted(SUITES)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out-dir", required=True)
+    args = parser.parse_args(argv)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, cmd in COMMANDS:
+        path = out_dir / name
+        events = str(path.with_name(path.stem + "_events.csv"))
+        code = fwt_main([a.replace("{events}", events) for a in cmd] + ["--out", str(path)])
+        if code:
+            print(f"{name}: fwt {' '.join(cmd)} exited {code}", file=sys.stderr)
+            return code
+        print(path)
+    for suite in CHECKS:
+        path = out_dir / f"check_{suite}.txt"
+        result = run_suite(suite)
+        path.write_text("\n".join([f"passed: {result.passed}"] + result.details) + "\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

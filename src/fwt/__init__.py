@@ -6,7 +6,7 @@ designer's optimal fee menu plus waiting-tax vector), cross-validated by a
 discrete-event Monte Carlo simulator and brute-force best-response oracles.
 """
 from .baseline import ExistingOutcome, existing_equilibrium, verify_existing
-from .checks import jain_index, run_suite
+from .checks import Lemma1Result, jain_index, run_suite, validate_lemma1
 from .mechanism import (
     Mechanism,
     OracleResult,
@@ -44,18 +44,14 @@ from .model import (
     require_valid,
     validate_params,
 )
-from .sim import Lemma1Result, SimConfig, SimReport, run, validate_lemma1
+from .sim import SimConfig, SimReport, run
 from .user_game import (
-    NetUtilities,
     SneOutcome,
     UserDeviation,
     best_response_check,
-    net_utilities,
-    sne_rates,
     sne_select,
     user_payoff,
     waiting_rate,
-    with_payoffs,
 )
 
 __version__ = "0.1.0"

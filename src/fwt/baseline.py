@@ -113,40 +113,41 @@ def _rate_and_payoff(r_n: float, n_own: int, above: float, same: float, fee: flo
     cap = params.max_rate_per_user
     if gamma == 0.0:
         lam = min(free, cap)
-        return lam, lam * margin
-    lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0), cap)
+    else:
+        lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0), cap)
+    return lam, _payoff(r_n, n_own, lam, above, same, fee, params)
+
+
+def _payoff(r_n: float, n_own: int, lam: float, above: float, same: float, fee: float,
+            params: SystemParams) -> float:
+    """Payoff of one user of a type whose n_own users each send `lam` at
+    `fee`, with `above` and `same` the other type's load in the higher fee
+    classes and in this fee's class; 0 without traffic, and a class loaded
+    to mu or past it waits forever."""
     if lam == 0.0:
-        return 0.0, 0.0
+        return 0.0
+    mu = params.block_rate
+    gamma = params.impatience
+    margin = r_n - params.mean_tx_size * fee
+    if gamma == 0.0:
+        return lam * margin
     through = above + same + n_own * lam
-    # the array form's mu/0 = inf, where a float division would raise
-    wait_per_tx = sojourn(mu, above, through) if through != mu else math.inf
-    return lam, lam * margin - gamma * lam * wait_per_tx
+    wait_per_tx = sojourn(mu, above, through) if through < mu else math.inf
+    return lam * margin - gamma * lam * wait_per_tx
 
 
 def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: float):
     """Payoffs, welfare and rate-weighted average fee of a state."""
     fi_h, lam_h, fi_l, lam_l = state
-    mu = params.block_rate
-    gamma = params.impatience
-    sbar = params.mean_tx_size
     n_h, n_l = params.n_users_high, params.n_users_low
 
-    def wait_per_tx(fi, own_group_rate, other_fi, other_rate):
+    def payoff(r_n, n_own, fi, lam, other_fi, other_rate):
         above = other_rate if other_fi > fi else 0.0
-        through = above + own_group_rate + (other_rate if other_fi == fi else 0.0)
-        return sojourn(mu, above, through) if through < mu else math.inf
+        same = other_rate if other_fi == fi else 0.0
+        return _payoff(r_n, n_own, lam, above, same, grid[fi], params)
 
-    w_h = wait_per_tx(fi_h, n_h * lam_h, fi_l, n_l * lam_l)
-    w_l = wait_per_tx(fi_l, n_l * lam_l, fi_h, n_h * lam_h)
-
-    def payoff(r_n, fee, lam, w):
-        if lam == 0.0:
-            return 0.0
-        cost = 0.0 if gamma == 0.0 else gamma * lam * w
-        return lam * (r_n - sbar * fee) - cost
-
-    u_h = payoff(params.utility_high, grid[fi_h], lam_h, w_h)
-    u_l = payoff(params.utility_low, grid[fi_l], lam_l, w_l)
+    u_h = payoff(params.utility_high, n_h, fi_h, lam_h, fi_l, n_l * lam_l)
+    u_l = payoff(params.utility_low, n_l, fi_l, lam_l, fi_h, n_h * lam_h)
 
     welfare = float(welfare_rate(lam_h, lam_l, params, system_cost_per_byte))
 

@@ -23,8 +23,8 @@ from .mechanism import (
 )
 from .miner_game import PendingTx, TxPool, check_miner_nash, equilibrium_selection, uniform_profile
 from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from .sim import validate_lemma1
-from .user_game import best_response_check, net_utilities, sne_select
+from .sim import SimConfig, run as run_sim
+from .user_game import best_response_check, sne_select, waiting_rate
 
 __all__ = [
     "CheckResult",
@@ -32,6 +32,8 @@ __all__ = [
     "per_user_payoffs",
     "check_miner_ne",
     "check_user_ne",
+    "Lemma1Result",
+    "validate_lemma1",
     "check_lemma1",
     "check_prop2",
     "check_fairness",
@@ -162,7 +164,7 @@ def check_user_ne(points_per_axis: int = 5, grid: int = 101) -> CheckResult:
             params = replace(TABLE_DEFAULTS, impatience=gamma,
                              utility_high=r_high, utility_low=r_high / 2.0)
             menu = FeeMenu(rho_high=rho_high, rho_low=params.system_storage_per_byte)
-            outcome = sne_select(net_utilities(params, TaxVector.zero()), menu, params)
+            outcome = sne_select(menu, TaxVector.zero(), params)
             kinds.add(outcome.sne_kind.value)
             dev = best_response_check(outcome, menu, TaxVector.zero(), params, grid=grid)
             if dev is not None:
@@ -205,6 +207,46 @@ def lemma1_profiles() -> list[tuple[str, SystemParams, FeeMenu, StrategyProfile]
     cases.append(("optimal-mechanism SNE at evaluation defaults",
                   table2, mech.menu, outcome.profile))
     return cases
+
+
+@dataclass(frozen=True)
+class Lemma1Result:
+    user_type: str
+    analytic: float
+    measured: float
+    ci_half: float
+    passed: bool
+
+
+def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfile,
+                    tolerance: float = 0.02, replications: int = 10,
+                    horizon: float | None = None, seed: int = 0) -> list[Lemma1Result]:
+    """Compare simulator waiting rates to the analytic formulas per type.
+
+    Pass when the analytic value lies inside the 95% interval or within the
+    relative tolerance. Requires a strictly stable profile (finite waits).
+    """
+    if horizon is None:
+        horizon = 1e5 / params.block_rate
+    analytic = {t: waiting_rate(t, profile, menu, params) for t in ("H", "L")}
+    if any(math.isinf(v) for v in analytic.values()):
+        raise ValueError("validate_lemma1 requires a strictly stable profile")
+    config = SimConfig(params=params, menu=menu, tax=TaxVector.zero(),
+                       profile=profile, horizon=horizon, seed=seed,
+                       replications=replications)
+    report = run_sim(config)
+    results = []
+    for t in ("H", "L"):
+        a = analytic[t]
+        m = report.type_wait_mean[t]
+        ci = report.type_wait_ci[t]
+        if a == 0.0:
+            passed = m == 0.0
+        else:
+            passed = abs(m - a) <= tolerance * abs(a) or abs(m - a) <= ci
+        results.append(Lemma1Result(user_type=t, analytic=a, measured=m,
+                                    ci_half=ci, passed=passed))
+    return results
 
 
 def check_lemma1(replications: int = 10, horizon: float | None = None,
@@ -360,17 +402,24 @@ def check_corollary2(step: float = 1e-6) -> CheckResult:
     return _timed("corollary2", body)
 
 
+def _budget_or(budget: int | None, default: int) -> int:
+    return default if budget is None else budget
+
+
 SUITES = {
-    "miner_ne": lambda budget, seed: check_miner_ne(budget=budget or 1000, seed=seed),
-    "user_ne": lambda budget, seed: check_user_ne(points_per_axis=budget or 5),
-    "lemma1": lambda budget, seed: check_lemma1(replications=budget or 10, seed=seed),
-    "prop2": lambda budget, seed: check_prop2(grid_points=budget or 50, seed=seed),
-    "fairness": lambda budget, seed: check_fairness(points=budget or 20),
+    "miner_ne": lambda budget, seed: check_miner_ne(budget=_budget_or(budget, 1000), seed=seed),
+    "user_ne": lambda budget, seed: check_user_ne(points_per_axis=_budget_or(budget, 5)),
+    "lemma1": lambda budget, seed: check_lemma1(replications=_budget_or(budget, 10), seed=seed),
+    "prop2": lambda budget, seed: check_prop2(grid_points=_budget_or(budget, 50), seed=seed),
+    "fairness": lambda budget, seed: check_fairness(points=_budget_or(budget, 20)),
     "corollary2": lambda budget, seed: check_corollary2(),
 }
 
 
 def run_suite(name: str, budget: int | None = None, seed: int = 0) -> CheckResult:
+    """Run one suite; `budget` (at least 1) replaces its sample budget."""
     if name not in SUITES:
         raise KeyError(f"unknown check suite {name!r}; choose from {sorted(SUITES)}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     return SUITES[name](budget, seed)

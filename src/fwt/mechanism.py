@@ -16,14 +16,7 @@ import numpy as np
 
 from .model import FeeMenu, HeteroCostParams, SystemParams, TaxVector, require_valid
 from .queue import by_role, split_roles, welfare_rate
-from .user_game import (
-    SneOutcome,
-    _at_fee,
-    net_utilities,
-    sne_select,
-    user_payoff,
-    with_payoffs,
-)
+from .user_game import SneOutcome, _at_fee, sne_select, user_payoff
 
 __all__ = [
     "Mechanism",
@@ -125,12 +118,10 @@ def _split_entries(q_high: float, q_low: float, menu: FeeMenu,
     if method != "fairness":
         raise ValueError(f"unknown tax split {method!r}")
 
-    outcome = sne_select(net_utilities(params, uniform), menu, params)
+    outcome = sne_select(menu, uniform, params)
     lam_h = outcome.profile.rates_high_type.total
     lam_l = outcome.profile.rates_low_type.total
-    u_h = user_payoff("H", outcome, menu, uniform, params)
-    u_l = user_payoff("L", outcome, menu, uniform, params)
-    d0 = u_h - u_l
+    d0 = outcome.payoff_high - outcome.payoff_low
     k1 = lam_h * (n_h - 1) * n
     k2 = lam_l * (n_l - 1) * n
     norm = k1 * k1 + k2 * k2
@@ -186,9 +177,8 @@ def optimal_mechanism_hetero(params: SystemParams, hc: HeteroCostParams,
 
 
 def induced_outcome(mech: Mechanism, params: SystemParams) -> SneOutcome:
-    """Stage-II equilibrium induced by a mechanism, with payoffs filled."""
-    outcome = sne_select(net_utilities(params, mech.tax), mech.menu, params)
-    return with_payoffs(outcome, mech.menu, mech.tax, params)
+    """Stage-II equilibrium induced by a mechanism, with its payoffs."""
+    return sne_select(mech.menu, mech.tax, params)
 
 
 # --- sufficient fee ----------------------------------------------------------
@@ -326,6 +316,9 @@ def unconstrained_optimum_oracle(params: SystemParams,
     welfare holds a NaN is skipped, as its argmax lands on the NaN.
     """
     require_valid(params)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2 (a menu needs two fees), "
+                         f"got {grid_points}")
     r_h, r_l = params.utility_high, params.utility_low
     sbar = params.mean_tx_size
 

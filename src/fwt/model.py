@@ -187,16 +187,10 @@ class SneKind(Enum):
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Symmetric strategy profile: one RatePair per user type.
-
-    sne_kind labels which equilibrium the profile is, when it is one;
-    hand-built profiles (simulator inputs, deviation experiments) leave it
-    None.
-    """
+    """Symmetric strategy profile: one RatePair per user type."""
 
     rates_high_type: RatePair
     rates_low_type: RatePair
-    sne_kind: SneKind | None = None
 
     def rates_for(self, user_type: str) -> RatePair:
         if user_type == "H":

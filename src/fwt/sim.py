@@ -43,14 +43,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from .user_game import waiting_rate
 
 __all__ = [
     "SimConfig",
     "SimReport",
-    "Lemma1Result",
     "run",
-    "validate_lemma1",
     "event_log_to_csv",
 ]
 
@@ -510,46 +507,6 @@ def run(config: SimConfig) -> SimReport:
         censored_wait_total=float(sum(r.censored_wait.sum() for r in reps)),
         events=events,
     )
-
-
-@dataclass(frozen=True)
-class Lemma1Result:
-    user_type: str
-    analytic: float
-    measured: float
-    ci_half: float
-    passed: bool
-
-
-def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfile,
-                    tolerance: float = 0.02, replications: int = 10,
-                    horizon: float | None = None, seed: int = 0) -> list[Lemma1Result]:
-    """Compare simulator waiting rates to the analytic formulas per type.
-
-    Pass when the analytic value lies inside the 95% interval or within the
-    relative tolerance. Requires a strictly stable profile (finite waits).
-    """
-    if horizon is None:
-        horizon = 1e5 / params.block_rate
-    analytic = {t: waiting_rate(t, profile, menu, params) for t in ("H", "L")}
-    if any(math.isinf(v) for v in analytic.values()):
-        raise ValueError("validate_lemma1 requires a strictly stable profile")
-    config = SimConfig(params=params, menu=menu, tax=TaxVector.zero(),
-                       profile=profile, horizon=horizon, seed=seed,
-                       replications=replications)
-    report = run(config)
-    results = []
-    for t in ("H", "L"):
-        a = analytic[t]
-        m = report.type_wait_mean[t]
-        ci = report.type_wait_ci[t]
-        if a == 0.0:
-            passed = m == 0.0
-        else:
-            passed = abs(m - a) <= tolerance * abs(a) or abs(m - a) <= ci
-        results.append(Lemma1Result(user_type=t, analytic=a, measured=m,
-                                    ci_half=ci, passed=passed))
-    return results
 
 
 _EVENT_FIELDS = ["time", "event_type", "user_id", "tx_index", "fee_per_byte",

@@ -2,14 +2,14 @@
 
 Per-user waiting over the fee-priority queue of `fwt.queue`, the
 symmetric-equilibrium generation rates, the high-fee/low-fee equilibrium
-selection, and a grid best-response oracle that certifies the closed forms.
-All branch cores accept numpy arrays so parameter sweeps and the mechanism
-grid oracle can evaluate thousands of points per call.
+selection with its waits and payoffs, and a grid best-response oracle that
+certifies the closed forms. All branch cores accept numpy arrays so sweeps
+and the mechanism grid oracle can evaluate thousands of points per call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +24,11 @@ from .model import (
 from .queue import _checked_sqrt, by_role, own_rate, sojourn, split_roles
 
 __all__ = [
-    "NetUtilities",
     "SneOutcome",
     "UserDeviation",
     "waiting_rate",
-    "net_utilities",
-    "sne_rates",
     "sne_select",
     "user_payoff",
-    "with_payoffs",
     "best_response_check",
 ]
 
@@ -75,22 +71,6 @@ def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
         own.rate_high, own.rate_low, agg1, agg2,
         menu.rho_high >= c_s, menu.rho_low >= c_s, params.block_rate,
     )
-
-
-# --- net utilities -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class NetUtilities:
-    """Per-transaction net utilities after waiting-tax outflow."""
-
-    h_high: float
-    h_low: float
-
-
-def net_utilities(params: SystemParams, tax: TaxVector) -> NetUtilities:
-    """On-chain utility minus total per-transaction tax outflow, per type."""
-    q_h, q_l = tax.row_sums(params)
-    return NetUtilities(h_high=params.utility_high - q_h, h_low=params.utility_low - q_l)
 
 
 # --- SNE generation rates ---------------------------------------------------
@@ -153,13 +133,6 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
     return pi_b, pi_s
 
 
-def sne_rates(nu: NetUtilities, rho: float, params: SystemParams) -> tuple[float, float]:
-    """Per-user SNE rates (pi_B, pi_S) when everyone generates at fee rho."""
-    _, h_b, h_s, n_b, n_s = split_roles(nu.h_high, nu.h_low,
-                                        params.n_users_high, params.n_users_low)
-    return _pi_rates(h_b, h_s, rho, n_b, n_s, params)
-
-
 def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams):
     """High-fee attractiveness threshold, computed at the low-fee SNE rates.
 
@@ -210,18 +183,15 @@ def _at_fee(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
 
 @dataclass(frozen=True)
 class SneOutcome:
-    """Selected symmetric equilibrium plus per-type derived quantities."""
+    """Selected symmetric equilibrium with per-type waits and payoffs."""
 
     profile: StrategyProfile
+    sne_kind: SneKind
     fee_used: float
     waiting_rate_high: float
     waiting_rate_low: float
-    payoff_high: float | None = None
-    payoff_low: float | None = None
-
-    @property
-    def sne_kind(self) -> SneKind:
-        return self.profile.sne_kind
+    payoff_high: float
+    payoff_low: float
 
     def to_json_dict(self) -> dict:
         def pair(rp: RatePair) -> dict:
@@ -242,9 +212,11 @@ class SneOutcome:
 def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
     """Per-type SNE rates and active-fee flag; array-capable.
 
-    Everyone uses rho_H exactly where the high-fee attractiveness delta at
-    the rho_L rates exceeds sbar*rho_H, and rho_L elsewhere; `_at_fee`
-    makes a refused rho_L defer to rho_H, and a refused rho_H is never used.
+    h_high/h_low are each type's net utility, on-chain utility less its tax
+    row sum. Everyone uses rho_H exactly where the high-fee attractiveness
+    delta at the rho_L rates exceeds sbar*rho_H, and rho_L elsewhere;
+    `_at_fee` makes a refused rho_L defer to rho_H, and a refused rho_H is
+    never used.
     """
     b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
                                                 params.n_users_low)
@@ -262,10 +234,13 @@ def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
     return lam_h, lam_l, use_high
 
 
-def sne_select(nu: NetUtilities, menu: FeeMenu, params: SystemParams) -> SneOutcome:
-    """Pick the Stage-II equilibrium for the menu: high-fee SNE when the
-    waiting-time advantage beats the extra fee, low-fee SNE otherwise."""
-    lam_h, lam_l, use_high = _stage2_rates_core(nu.h_high, nu.h_low, menu, params)
+def sne_select(menu: FeeMenu, tax: TaxVector, params: SystemParams) -> SneOutcome:
+    """Pick the Stage-II equilibrium for the menu under the tax (whose row
+    sums alone set the rates): high-fee SNE when the waiting-time advantage
+    beats the extra fee, low-fee SNE otherwise; payoffs use the waits here."""
+    q_h, q_l = tax.row_sums(params)
+    lam_h, lam_l, use_high = _stage2_rates_core(params.utility_high - q_h,
+                                                params.utility_low - q_l, menu, params)
     lam_h = float(lam_h)
     lam_l = float(lam_l)
     high = bool(use_high)
@@ -281,26 +256,29 @@ def sne_select(nu: NetUtilities, menu: FeeMenu, params: SystemParams) -> SneOutc
         kind = SneKind.HIGH_FEE
     else:
         kind = SneKind.LOW_FEE
-    profile = StrategyProfile(rates_high_type=rates_h, rates_low_type=rates_l,
-                              sne_kind=kind)
-    fee_used = menu.rho_high if high else menu.rho_low
+    profile = StrategyProfile(rates_high_type=rates_h, rates_low_type=rates_l)
+    wait_h = waiting_rate("H", profile, menu, params)
+    wait_l = waiting_rate("L", profile, menu, params)
     return SneOutcome(
         profile=profile,
-        fee_used=fee_used,
-        waiting_rate_high=waiting_rate("H", profile, menu, params),
-        waiting_rate_low=waiting_rate("L", profile, menu, params),
+        sne_kind=kind,
+        fee_used=menu.rho_high if high else menu.rho_low,
+        waiting_rate_high=wait_h,
+        waiting_rate_low=wait_l,
+        payoff_high=_payoff("H", profile, wait_h, menu, tax, params),
+        payoff_low=_payoff("L", profile, wait_l, menu, tax, params),
     )
 
 
 # --- payoffs -----------------------------------------------------------------
 
-def _payoff_before_inflow(user_type: str, l1, l2, agg1, agg2, menu: FeeMenu,
-                          tax: TaxVector, params: SystemParams):
+def _payoff_before_inflow(user_type: str, l1, l2, wait, menu: FeeMenu, tax: TaxVector,
+                          params: SystemParams):
     """On-chain utility of one user's included transactions less their fee,
     tax outflow and the user's waiting cost. Scalar or array.
 
-    l1/l2 are the user's own rates at the high/low fee, agg1/agg2 the
-    system-wide rates including this user.
+    l1/l2 are the user's own rates at the high/low fee and `wait` its
+    accumulated waiting rate (`_accumulated_wait_rate`) at those rates.
     """
     c_s = params.storage_cost_per_byte
     sbar = params.mean_tx_size
@@ -318,28 +296,23 @@ def _payoff_before_inflow(user_type: str, l1, l2, agg1, agg2, menu: FeeMenu,
         util = util + l2 * (r_n - sbar * menu.rho_low - q_out)
     if gamma == 0.0:
         return util
-    return util - gamma * _accumulated_wait_rate(l1, l2, agg1, agg2, incl_hi, incl_lo,
-                                                 params.block_rate)
+    return util - gamma * wait
 
 
-def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
-                tax: TaxVector, params: SystemParams) -> float:
-    """Time-average payoff of one user of the given type.
-
-    Includes on-chain utility, fee and tax outflow on the user's included
-    transactions, waiting cost, and tax inflow from every other user's
-    included transactions.
-    """
-    own = outcome.profile.rates_for(user_type)
-    agg1, agg2 = outcome.profile.aggregate(params)
-    payoff = _payoff_before_inflow(user_type, own.rate_high, own.rate_low, agg1, agg2,
+def _payoff(user_type: str, profile: StrategyProfile, wait: float, menu: FeeMenu,
+            tax: TaxVector, params: SystemParams) -> float:
+    """Time-average payoff of one user of the type under the profile, given
+    its wait: `_payoff_before_inflow` plus the tax inflow from every other
+    user's included transactions."""
+    own = profile.rates_for(user_type)
+    payoff = _payoff_before_inflow(user_type, own.rate_high, own.rate_low, wait,
                                    menu, tax, params)
 
     c_s = params.storage_cost_per_byte
     incl_hi = menu.rho_high >= c_s
     incl_lo = menu.rho_low >= c_s
-    rates_h = outcome.profile.rates_high_type
-    rates_l = outcome.profile.rates_low_type
+    rates_h = profile.rates_high_type
+    rates_l = profile.rates_low_type
     incl_h_tot = (rates_h.rate_high if incl_hi else 0.0) + (rates_h.rate_low if incl_lo else 0.0)
     incl_l_tot = (rates_l.rate_high if incl_hi else 0.0) + (rates_l.rate_low if incl_lo else 0.0)
     n_h, n_l = params.n_users_high, params.n_users_low
@@ -351,14 +324,17 @@ def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
     return payoff + inflow
 
 
-def with_payoffs(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
-                 params: SystemParams) -> SneOutcome:
-    """Return a copy of the outcome with per-type payoffs filled in."""
-    return dc_replace(
-        outcome,
-        payoff_high=user_payoff("H", outcome, menu, tax, params),
-        payoff_low=user_payoff("L", outcome, menu, tax, params),
-    )
+def user_payoff(user_type: str, outcome: SneOutcome, menu: FeeMenu,
+                tax: TaxVector, params: SystemParams) -> float:
+    """Time-average payoff of one user of the given type.
+
+    Includes on-chain utility, fee and tax outflow on the user's included
+    transactions, waiting cost, and tax inflow from every other user's
+    included transactions. The wait is the outcome's, so `menu` must be the
+    menu the outcome was selected at; `tax` may differ from its tax.
+    """
+    wait = outcome.waiting_rate_high if user_type == "H" else outcome.waiting_rate_low
+    return _payoff(user_type, outcome.profile, wait, menu, tax, params)
 
 
 # --- best-response oracle -----------------------------------------------------
@@ -388,6 +364,7 @@ def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
     g1, g2 = np.meshgrid(xs, xs, indexing="ij")
     feasible = g1 + g2 <= cap * (1.0 + 1e-12)
 
+    c_s = params.storage_cost_per_byte
     agg1, agg2 = outcome.profile.aggregate(params)
     for user_type in ("H", "L"):
         own = outcome.profile.rates_for(user_type)
@@ -397,8 +374,9 @@ def best_response_check(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
         o2 = agg2 - own.rate_low
 
         def payoff(l1, l2):
-            return _payoff_before_inflow(user_type, l1, l2, o1 + l1, o2 + l2,
-                                         menu, tax, params)
+            wait = _accumulated_wait_rate(l1, l2, o1 + l1, o2 + l2, menu.rho_high >= c_s,
+                                          menu.rho_low >= c_s, params.block_rate)
+            return _payoff_before_inflow(user_type, l1, l2, wait, menu, tax, params)
 
         u0 = float(payoff(own.rate_high, own.rate_low))
         if math.isfinite(u0):

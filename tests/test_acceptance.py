@@ -18,6 +18,7 @@ from fwt.checks import (
     check_user_ne,
     criterion_grid,
     lemma1_profiles,
+    validate_lemma1,
 )
 from fwt.cli import sweep_rows
 from fwt.mechanism import (
@@ -27,7 +28,7 @@ from fwt.mechanism import (
     sufficient_fee_check,
 )
 from fwt.model import SystemParams, TaxVector
-from fwt.sim import SimConfig, run as run_sim, validate_lemma1
+from fwt.sim import SimConfig, run as run_sim
 
 
 def _report(num: int, name: str, passed: bool, detail: str = ""):

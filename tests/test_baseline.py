@@ -315,3 +315,85 @@ def test_existing_equilibrium_matches_grid_reference_on_sweep_points(monkeypatch
         for field in dataclasses.fields(want):
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert _same(a, b), (field.name, a, b)
+
+
+def _reference_state_metrics(state, grid, params, system_cost_per_byte):
+    """`_state_metrics` as written before its payoff moved to
+    `baseline._payoff`, kept as the reference."""
+    fi_h, lam_h, fi_l, lam_l = state
+    mu = params.block_rate
+    gamma = params.impatience
+    sbar = params.mean_tx_size
+    n_h, n_l = params.n_users_high, params.n_users_low
+
+    def wait_per_tx(fi, own_group_rate, other_fi, other_rate):
+        above = other_rate if other_fi > fi else 0.0
+        through = above + own_group_rate + (other_rate if other_fi == fi else 0.0)
+        return sojourn(mu, above, through) if through < mu else math.inf
+
+    w_h = wait_per_tx(fi_h, n_h * lam_h, fi_l, n_l * lam_l)
+    w_l = wait_per_tx(fi_l, n_l * lam_l, fi_h, n_h * lam_h)
+
+    def payoff(r_n, fee, lam, w):
+        if lam == 0.0:
+            return 0.0
+        cost = 0.0 if gamma == 0.0 else gamma * lam * w
+        return lam * (r_n - sbar * fee) - cost
+
+    u_h = payoff(params.utility_high, grid[fi_h], lam_h, w_h)
+    u_l = payoff(params.utility_low, grid[fi_l], lam_l, w_l)
+    welfare = float(fwt.baseline.welfare_rate(lam_h, lam_l, params, system_cost_per_byte))
+    total = n_h * lam_h + n_l * lam_l
+    if total == 0.0:
+        avg_fee = math.nan
+    else:
+        avg_fee = (n_h * lam_h * grid[fi_h] + n_l * lam_l * grid[fi_l]) / total
+    return u_h, u_l, welfare, float(avg_fee)
+
+
+def test_state_metrics_matches_reference_on_sweep_points(monkeypatch):
+    """The payoffs, welfare and average fee of the final state at every
+    point the sweep workload solves equal the two-closure original, bit
+    for bit (repr also tells 0.0 from -0.0 and a numpy scalar from a float)."""
+    real = fwt.baseline._state_metrics
+    states = []
+
+    def checked(state, grid, params, system_cost_per_byte):
+        got = real(state, grid, params, system_cost_per_byte)
+        want = _reference_state_metrics(state, grid, params, system_cost_per_byte)
+        assert repr(got) == repr(want), state
+        states.append(state)
+        return got
+
+    monkeypatch.setattr(fwt.baseline, "_state_metrics", checked)
+    for axis, lo, hi, steps, utilities in _SWEEP_POINTS:
+        p = SystemParams()
+        if utilities is not None:
+            p = replace(p, utility_high=utilities[0], utility_low=utilities[1])
+        for value in np.linspace(lo, hi, steps):
+            (row,) = sweep_rows(p, axis, float(value), float(value), 1)
+            assert row["error"] == ""
+    assert len(states) == 80
+
+
+_RATE_FRACTION = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fees=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       rates=st.tuples(_RATE_FRACTION, _RATE_FRACTION),
+       gamma=st.sampled_from([0.0, 5e-5]) | st.floats(1e-7, 1e-2),
+       counts=st.tuples(st.integers(1, 300), st.integers(1, 300)))
+# both types at the cap on one fee: the queue is loaded to exactly mu
+@example(fees=(3, 3), rates=(1.0, 1.0), gamma=5e-5, counts=(100, 100))
+def test_state_metrics_matches_reference_on_any_state(fees, rates, gamma, counts):
+    """The same agreement on arbitrary states: either fee order or one
+    shared fee, idle types, gamma = 0 and a saturated queue."""
+    p = replace(SystemParams(), impatience=gamma, n_users_high=counts[0],
+                n_users_low=counts[1])
+    grid = _fee_grid(p, fwt.baseline.FEE_GRID_POINTS)
+    cap = p.max_rate_per_user
+    state = (fees[0], rates[0] * cap, fees[1], rates[1] * cap)
+    scb = p.system_storage_per_byte
+    assert (repr(fwt.baseline._state_metrics(state, grid, p, scb))
+            == repr(_reference_state_metrics(state, grid, p, scb)))

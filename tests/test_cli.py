@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import fwt.cli
-from fwt.checks import jain_index
+from fwt.checks import criterion_grid, jain_index
 from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
 from fwt.model import SystemParams
 from fwt.queue import InvariantError
@@ -297,3 +298,71 @@ def test_check_miner_ne_small_budget(capsys):
 def test_check_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["check", "not_a_suite"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["miner_ne", "--budget", "-1"],
+    ["miner_ne", "--budget", "0"],
+    ["prop2", "--budget", "1"],     # a one-fee grid holds no menu
+], ids=["negative", "zero", "one_fee"])
+def test_check_rejects_degenerate_budget(capsys, argv):
+    code, out, err = run_cli(["check"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+
+
+# The solve JSON fields that may hold a non-finite number (README, "Solve JSON").
+SOLVE_NON_FINITE = {"outcome.waiting_rate.H", "outcome.waiting_rate.L",
+                    "welfare.avg_fee_per_byte", "sufficient_fee.avg_fee_per_byte"}
+
+
+def _non_finite_paths(doc, prefix=""):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _non_finite_paths(value, f"{prefix}{key}.")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        yield prefix[:-1]
+
+
+def _solve_cases():
+    def argv(p, *extra):
+        return ["solve", *extra] + [
+            arg for name in ("impatience", "utility_high", "utility_low", "n_users_high")
+            for arg in ("--param", f"{name}={getattr(p, name)!r}")]
+
+    cases = [(argv(p), p) for p in criterion_grid(8)]
+    d = SystemParams()
+    cases += [
+        (argv(replace(d, impatience=0.0)), replace(d, impatience=0.0)),
+        (argv(replace(d, utility_high=5e-4, utility_low=2.5e-4)),
+         replace(d, utility_high=5e-4, utility_low=2.5e-4)),
+        (argv(d, "--tax-split", "uniform"), d),
+        (argv(d, "--hetero", "ratio=5"), d),
+    ]
+    return cases
+
+
+def test_solve_json_non_finite_only_in_documented_fields(capsys):
+    """Every non-finite number of a solve JSON sits in a documented field,
+    under its documented condition: the average fee is NaN exactly when
+    nobody generates, and a wait is Infinity only where the queue carries
+    mu or more."""
+    seen = set()
+    for argv, p in _solve_cases():
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        paths = set(_non_finite_paths(doc))
+        assert paths <= SOLVE_NON_FINITE, (argv, paths)
+        nobody = doc["outcome"]["sne_kind"] == "NoGeneration"
+        assert math.isnan(doc["welfare"]["avg_fee_per_byte"]) == nobody
+        assert math.isnan(doc["sufficient_fee"]["avg_fee_per_byte"]) == nobody
+        rates = doc["outcome"]["rates"]
+        load = sum(n * (rates[t]["rate_high"] + rates[t]["rate_low"])
+                   for t, n in (("H", p.n_users_high), ("L", p.n_users_low)))
+        for t in ("H", "L"):
+            if math.isinf(doc["outcome"]["waiting_rate"][t]):
+                assert load >= p.block_rate, argv
+        seen |= paths
+    assert seen == SOLVE_NON_FINITE

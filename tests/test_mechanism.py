@@ -17,12 +17,7 @@ from fwt.mechanism import (
     unconstrained_optimum_oracle,
 )
 from fwt.model import FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector
-from fwt.user_game import (
-    _stage2_rates_core,
-    best_response_check,
-    net_utilities,
-    sne_select,
-)
+from fwt.user_game import _stage2_rates_core, best_response_check, sne_select
 
 
 # frozen expectations at the evaluation defaults (gamma=5e-5, R_H=1.8e-3):
@@ -133,7 +128,7 @@ def test_rates_invariant_to_entry_split(table_params):
     # entries only matter through row sums; splits agree up to row-sum roundoff
     fair = induced_outcome(optimal_mechanism(table_params, "fairness"), table_params)
     unif = induced_outcome(optimal_mechanism(table_params, "uniform"), table_params)
-    assert fair.profile.sne_kind == unif.profile.sne_kind
+    assert fair.sne_kind == unif.sne_kind
     assert fair.profile.rates_high_type.rate_low == pytest.approx(
         unif.profile.rates_high_type.rate_low, rel=1e-9)
     assert fair.profile.rates_low_type.rate_low == pytest.approx(
@@ -191,7 +186,7 @@ def test_sufficient_fee_holds_exactly_at_bound(table_params):
 def test_sufficient_fee_fails_at_single_miner_price(table_params):
     c_s = table_params.storage_cost_per_byte
     menu = FeeMenu(rho_high=2 * c_s, rho_low=c_s)
-    out = sne_select(net_utilities(table_params, TaxVector.zero()), menu, table_params)
+    out = sne_select(menu, TaxVector.zero(), table_params)
     assert out.profile.rates_high_type.total > 0
     avg, ok = sufficient_fee_check(out, menu, table_params)
     assert not ok
@@ -209,12 +204,11 @@ def test_sufficient_fee_vacuous_without_generation(table_params):
 def test_mixed_rate_average_fee(table_params):
     """Weighted average when a profile straddles both fee classes."""
     from fwt.model import RatePair, StrategyProfile
-    from fwt.user_game import SneOutcome
 
     menu = FeeMenu(rho_high=1e-5, rho_low=5e-6)
     prof = StrategyProfile(RatePair(0.03, 0.01), RatePair(0.0, 0.0))
-    out = SneOutcome(profile=prof, fee_used=menu.rho_high,
-                     waiting_rate_high=0.0, waiting_rate_low=0.0)
+    # the fee check reads the rates alone; the rest is a selected outcome's
+    out = replace(sne_select(menu, TaxVector.zero(), table_params), profile=prof)
     avg, ok = sufficient_fee_check(out, menu, table_params)
     assert avg == pytest.approx((0.03 * 1e-5 + 0.01 * 5e-6) / 0.04, rel=1e-15)
     assert ok  # 8.75e-6 >= 5e-6

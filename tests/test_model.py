@@ -170,7 +170,7 @@ def test_validated_params_survive_downstream(n_h, n_l, gamma, c_s, r_low,
         social_welfare,
         sufficient_fee_check,
     )
-    from fwt.user_game import net_utilities, sne_select, user_payoff
+    from fwt.user_game import sne_select, user_payoff
 
     p = SystemParams(n_users_high=n_h, n_users_low=n_l,
                      impatience=gamma, storage_cost_per_byte=c_s,
@@ -178,7 +178,7 @@ def test_validated_params_survive_downstream(n_h, n_l, gamma, c_s, r_low,
     assert validate_params(p) == []
     menu = FeeMenu(rho_high=rho_low + rho_gap, rho_low=rho_low)
     tax = TaxVector(*taxes)
-    out = sne_select(net_utilities(p, tax), menu, p)
+    out = sne_select(menu, tax, p)
     assert out.profile.rates_high_type.feasible(p)
     assert out.profile.rates_low_type.feasible(p)
     for t in ("H", "L"):

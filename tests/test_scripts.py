@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from fwt.checks import check_lemma1
+from fwt.checks import check_lemma1, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
+from fwt.cli import main as fwt_main
 from fwt.model import SystemParams
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -56,3 +57,21 @@ def test_validate_against_simulator_prints_lemma1_suite(capsys, horizon):
     assert [line.split(":")[0] for line in lines[len(suite.details):]] == [
         "welfare", "payoff H", "payoff L"]
     assert code == (0 if suite.passed else 1)
+
+
+def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
+    """With its command list cut to one solve and one check suite, the
+    script writes the solve JSON as `fwt solve` prints it and the suite's
+    pass flag and detail lines."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    script = _load_script("snapshot_outputs")
+    monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
+    monkeypatch.setattr(script, "CHECKS", ["corollary2"])
+    assert script.main(["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["check_corollary2.txt", "solve.json"]
+    assert fwt_main(["solve"]) == 0
+    assert (tmp_path / "solve.json").read_text() + "\n" == capsys.readouterr().out
+    suite = run_suite("corollary2")
+    assert (tmp_path / "check_corollary2.txt").read_text().splitlines() == (
+        [f"passed: {suite.passed}"] + suite.details)

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fwt import sim
+from fwt.checks import validate_lemma1
 from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from fwt.sim import (SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run,
-                     validate_lemma1)
+from fwt.sim import SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run
 
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
@@ -419,3 +421,16 @@ def test_run_intervals_match_scipy_reference(monkeypatch, reps):
             np.testing.assert_allclose(half, ref, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(report.user_wait_ci, calls[0][2])
     np.testing.assert_array_equal(report.welfare_ci, calls[-1][2])
+
+
+def test_simulator_imports_only_the_model():
+    """The simulator is the independent oracle for the analytic layers, so
+    of this package it imports the shared types alone."""
+    tree = ast.parse(Path(sim.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fwt")):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "fwt")
+    assert imported == {".model"}
