@@ -31,7 +31,7 @@ def main(argv=None):
     for axis, steps in STEPS.items():
         path = out_dir / f"sweep_{axis}.csv"
         cmd = ["sweep", "--axis", axis, "--steps", str(steps), "--out", str(path)]
-        if args.paper_scale:
+        if args.paper_scale and axis == "n_users":
             cmd.append("--paper-scale")
         if axis == "cost_ratio":
             cmd += COST_RATIO_PARAMS

@@ -22,6 +22,8 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.replications < 2:
+        parser.error(f"--replications must be at least 2, got {args.replications}")
 
     lemma1 = check_lemma1(replications=args.replications, horizon=args.horizon,
                           seed=args.seed)

@@ -154,6 +154,9 @@ def user_ne_sweep_points(points_per_axis: int = 5) -> list[tuple[float, float, f
 
 def check_user_ne(points_per_axis: int = 5, grid: int = 101) -> CheckResult:
     """Every selected SNE survives a grid best-response search."""
+    if points_per_axis < 2:
+        raise ValueError(f"points_per_axis must be at least 2 (one point is a "
+                         f"NoGeneration equilibrium), got {points_per_axis}")
 
     def body():
         details = []
@@ -252,6 +255,9 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
 def check_lemma1(replications: int = 10, horizon: float | None = None,
                  seed: int = 0) -> CheckResult:
     """Simulator waiting rates match the closed forms at stable profiles."""
+    if replications < 2:
+        raise ValueError(f"replications must be at least 2 to form a Student-t "
+                         f"interval, got {replications}")
 
     def body():
         details = []

@@ -104,7 +104,7 @@ def _solve_point(params: SystemParams, tax_split: str,
         mech, p_eff = optimal_mechanism(params, tax_split=tax_split), params
     outcome = induced_outcome(mech, p_eff)
     welfare = social_welfare(outcome, mech.menu, mech.tax, p_eff)
-    avg_fee, fee_ok = sufficient_fee_check(outcome, mech.menu, p_eff)
+    avg_fee, fee_ok = sufficient_fee_check(outcome, p_eff)
     return mech, p_eff, outcome, welfare, avg_fee, fee_ok
 
 
@@ -212,10 +212,10 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
 
 def cmd_sweep(args) -> int:
     params = _load_params(args)
-    if args.axis == "n_users" and args.paper_scale:
-        lo, hi = _PAPER_N_RANGE
-    else:
-        lo, hi = _SWEEP_DEFAULTS[args.axis]
+    if args.paper_scale and (args.axis != "n_users" or args.range):
+        raise InvalidInput("--paper-scale sets the n_users range: it needs --axis n_users "
+                           "and no --range")
+    lo, hi = _PAPER_N_RANGE if args.paper_scale else _SWEEP_DEFAULTS[args.axis]
     if args.range:
         try:
             lo_s, hi_s = args.range.split(":", 1)
@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--range", help="lo:hi (defaults per axis)")
     p_sweep.add_argument("--steps", type=int, default=20)
     p_sweep.add_argument("--paper-scale", action="store_true", dest="paper_scale",
-                         help="use the full evaluation user-count range")
+                         help="use the full evaluation user-count range "
+                              "(--axis n_users, without --range)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at the solved SNE")

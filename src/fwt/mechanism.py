@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FeeMenu, HeteroCostParams, SystemParams, TaxVector, require_valid
+from .model import (FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector,
+                    require_valid)
 from .queue import by_role, split_roles, welfare_rate
 from .user_game import SneOutcome, _at_fee, sne_select, user_payoff
 
@@ -183,42 +184,17 @@ def induced_outcome(mech: Mechanism, params: SystemParams) -> SneOutcome:
 
 # --- sufficient fee ----------------------------------------------------------
 
-def sufficient_fee_check(outcome: SneOutcome, menu: FeeMenu,
-                         params: SystemParams) -> tuple[float, bool]:
-    """Average fee-per-byte across generating users and whether every
-    generating user's average covers total system storage cost per byte.
+def sufficient_fee_check(outcome: SneOutcome, params: SystemParams) -> tuple[float, bool]:
+    """Fee-per-byte the generating users pay and whether it covers total
+    system storage cost per byte.
 
-    Users generating nothing are exempt; with nobody generating the check
-    is vacuously true and the average is NaN. Single-class averages return
-    the class fee exactly so the boundary case compares exactly.
+    A selected equilibrium sends every user at one fee, `fee_used`, so that
+    fee is every generating user's average. With nobody generating the
+    check is vacuously true and the fee is NaN.
     """
-    def type_avg(rates) -> float | None:
-        if rates.total == 0.0:
-            return None
-        if rates.rate_high == 0.0:
-            return menu.rho_low
-        if rates.rate_low == 0.0:
-            return menu.rho_high
-        return ((rates.rate_high * menu.rho_high + rates.rate_low * menu.rho_low)
-                / rates.total)
-
-    ok = True
-    per_type: list[tuple[float, float]] = []
-    for user_type, count in (("H", params.n_users_high), ("L", params.n_users_low)):
-        rates = outcome.profile.rates_for(user_type)
-        avg = type_avg(rates)
-        if avg is None:
-            continue
-        ok = ok and (avg >= params.system_storage_per_byte)
-        per_type.append((avg, count * rates.total))
-    if not per_type:
+    if outcome.sne_kind is SneKind.NO_GENERATION:
         return math.nan, True
-    if len({avg for avg, _ in per_type}) == 1:
-        # common class fee: return it exactly, no weighted-mean roundoff
-        return per_type[0][0], ok
-    weighted = sum(avg * rate for avg, rate in per_type)
-    total_rate = sum(rate for _, rate in per_type)
-    return weighted / total_rate, ok
+    return outcome.fee_used, outcome.fee_used >= params.system_storage_per_byte
 
 
 # --- social welfare -----------------------------------------------------------
@@ -253,19 +229,17 @@ def social_welfare(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
     total storage cost minus waiting cost, independent of the tax vector at
     fixed generation rates.
     """
-    c_s = params.storage_cost_per_byte
     sbar = params.mean_tx_size
     u_h = user_payoff("H", outcome, menu, tax, params)
     u_l = user_payoff("L", outcome, menu, tax, params)
     user_sum = params.n_users_high * u_h + params.n_users_low * u_l
 
-    agg1, agg2 = outcome.profile.aggregate(params)
-    incl = (agg1 if menu.rho_high >= c_s else 0.0) + (agg2 if menu.rho_low >= c_s else 0.0)
-    fee_inflow = sbar * ((agg1 * menu.rho_high if menu.rho_high >= c_s else 0.0)
-                         + (agg2 * menu.rho_low if menu.rho_low >= c_s else 0.0))
-    miner_sum = fee_inflow - params.system_storage_per_byte * sbar * incl
+    # a selected outcome sends everyone at fee_used, a fee the miners accept
+    load = sum(outcome.profile.aggregate(params))
+    miner_sum = (sbar * (load * outcome.fee_used)
+                 - params.system_storage_per_byte * sbar * load)
 
-    avg_fee, _ = sufficient_fee_check(outcome, menu, params)
+    avg_fee, _ = sufficient_fee_check(outcome, params)
     return WelfareBreakdown(
         total=user_sum + miner_sum,
         user_sum=user_sum,

@@ -3,8 +3,8 @@
 Per-user waiting over the fee-priority queue of `fwt.queue`, the
 symmetric-equilibrium generation rates, the high-fee/low-fee equilibrium
 selection with its waits and payoffs, and a grid best-response oracle that
-certifies the closed forms. All branch cores accept numpy arrays so sweeps
-and the mechanism grid oracle can evaluate thousands of points per call.
+certifies the closed forms. The per-fee cores accept numpy arrays so the
+mechanism grid oracle can evaluate thousands of points per call.
 """
 from __future__ import annotations
 
@@ -209,53 +209,34 @@ class SneOutcome:
         }
 
 
-def _stage2_rates_core(h_high, h_low, menu: FeeMenu, params: SystemParams):
-    """Per-type SNE rates and active-fee flag; array-capable.
-
-    h_high/h_low are each type's net utility, on-chain utility less its tax
-    row sum. Everyone uses rho_H exactly where the high-fee attractiveness
-    delta at the rho_L rates exceeds sbar*rho_H, and rho_L elsewhere;
-    `_at_fee` makes a refused rho_L defer to rho_H, and a refused rho_H is
-    never used.
-    """
-    b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
-                                                params.n_users_low)
-    pi_b, pi_s, delta = _at_fee(h_b, h_s, menu.rho_low, n_b, n_s, params)
-    if menu.rho_high >= params.storage_cost_per_byte:
-        use_high = delta > params.mean_tx_size * menu.rho_high
-    else:
-        use_high = np.zeros(delta.shape, dtype=bool)
-    if use_high.any():
-        pib_hi, pis_hi = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-        pi_b = np.where(use_high, pib_hi, pi_b)
-        pi_s = np.where(use_high, pis_hi, pi_s)
-
-    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
-    return lam_h, lam_l, use_high
-
-
 def sne_select(menu: FeeMenu, tax: TaxVector, params: SystemParams) -> SneOutcome:
     """Pick the Stage-II equilibrium for the menu under the tax (whose row
     sums alone set the rates): high-fee SNE when the waiting-time advantage
-    beats the extra fee, low-fee SNE otherwise; payoffs use the waits here."""
+    beats the extra fee, low-fee SNE otherwise; payoffs use the waits here.
+
+    Everyone sends at one fee, `fee_used`: rho_H exactly when it is
+    accepted and the high-fee attractiveness delta at the rho_L rates
+    exceeds sbar*rho_H. A refused rho_L gets zero rates from `_at_fee`, so
+    any positive rate sits at an accepted fee.
+    """
     q_h, q_l = tax.row_sums(params)
-    lam_h, lam_l, use_high = _stage2_rates_core(params.utility_high - q_h,
-                                                params.utility_low - q_l, menu, params)
-    lam_h = float(lam_h)
-    lam_l = float(lam_l)
-    high = bool(use_high)
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(params.utility_high - q_h,
+                                                params.utility_low - q_l,
+                                                params.n_users_high, params.n_users_low)
+    pi_b, pi_s, delta = _at_fee(h_b, h_s, menu.rho_low, n_b, n_s, params)
+    high = (menu.rho_high >= params.storage_cost_per_byte
+            and bool(delta > params.mean_tx_size * menu.rho_high))
     if high:
-        rates_h = RatePair(rate_high=lam_h, rate_low=0.0)
-        rates_l = RatePair(rate_high=lam_l, rate_low=0.0)
-    else:
-        rates_h = RatePair(rate_high=0.0, rate_low=lam_h)
-        rates_l = RatePair(rate_high=0.0, rate_low=lam_l)
-    if lam_h == 0.0 and lam_l == 0.0:
-        kind = SneKind.NO_GENERATION
-    elif high:
+        pi_b, pi_s = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+    lam_h, lam_l = (float(x) for x in by_role(b_is_high, pi_b, pi_s))
+    if high:
         kind = SneKind.HIGH_FEE
+        rates_h, rates_l = RatePair(lam_h, 0.0), RatePair(lam_l, 0.0)
     else:
         kind = SneKind.LOW_FEE
+        rates_h, rates_l = RatePair(0.0, lam_h), RatePair(0.0, lam_l)
+    if lam_h == 0.0 and lam_l == 0.0:
+        kind = SneKind.NO_GENERATION
     profile = StrategyProfile(rates_high_type=rates_h, rates_low_type=rates_l)
     wait_h = waiting_rate("H", profile, menu, params)
     wait_l = waiting_rate("L", profile, menu, params)
@@ -301,25 +282,21 @@ def _payoff_before_inflow(user_type: str, l1, l2, wait, menu: FeeMenu, tax: TaxV
 
 def _payoff(user_type: str, profile: StrategyProfile, wait: float, menu: FeeMenu,
             tax: TaxVector, params: SystemParams) -> float:
-    """Time-average payoff of one user of the type under the profile, given
-    its wait: `_payoff_before_inflow` plus the tax inflow from every other
-    user's included transactions."""
+    """Time-average payoff of one user of the type under a selected
+    profile, given its wait: `_payoff_before_inflow` plus the tax inflow
+    from every other user's transactions, all of them included because a
+    selected profile sends only at an accepted fee."""
     own = profile.rates_for(user_type)
     payoff = _payoff_before_inflow(user_type, own.rate_high, own.rate_low, wait,
                                    menu, tax, params)
 
-    c_s = params.storage_cost_per_byte
-    incl_hi = menu.rho_high >= c_s
-    incl_lo = menu.rho_low >= c_s
-    rates_h = profile.rates_high_type
-    rates_l = profile.rates_low_type
-    incl_h_tot = (rates_h.rate_high if incl_hi else 0.0) + (rates_h.rate_low if incl_lo else 0.0)
-    incl_l_tot = (rates_l.rate_high if incl_hi else 0.0) + (rates_l.rate_low if incl_lo else 0.0)
+    lam_h = profile.rates_high_type.total
+    lam_l = profile.rates_low_type.total
     n_h, n_l = params.n_users_high, params.n_users_low
     if user_type == "H":
-        inflow = (n_h - 1) * incl_h_tot * tax.p_hh + n_l * incl_l_tot * tax.p_lh
+        inflow = (n_h - 1) * lam_h * tax.p_hh + n_l * lam_l * tax.p_lh
     else:
-        inflow = n_h * incl_h_tot * tax.p_hl + (n_l - 1) * incl_l_tot * tax.p_ll
+        inflow = n_h * lam_h * tax.p_hl + (n_l - 1) * lam_l * tax.p_ll
 
     return payoff + inflow
 

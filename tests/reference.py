@@ -1,0 +1,112 @@
+"""Earlier forms of Stage-II code, kept as references for the current one.
+
+Each function is program code as it stood before a simplification, so a
+test can assert that the simplified code gives the same numbers.
+"""
+import numpy as np
+
+import fwt.user_game as user_game
+from fwt.queue import by_role, split_roles
+
+
+def stage2_rates_core(h_high, h_low, menu, params):
+    """The Stage-II choice as written before the per-fee solve moved to
+    `_at_fee`: per-type rates and the use-rho_H flag, array-capable.
+
+    `_pi_rates` and `_delta` are looked up on `fwt.user_game` at call time,
+    so a test that patches them there patches this reference too.
+    """
+    c_s = params.storage_cost_per_byte
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
+                                                params.n_users_low)
+
+    shape = h_b.shape
+    if menu.rho_high < c_s:
+        pi_b = np.zeros(shape)
+        pi_s = np.zeros(shape)
+        use_high = np.zeros(shape, dtype=bool)
+    elif menu.rho_low < c_s:
+        pi_b, pi_s = user_game._pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+        use_high = np.ones(shape, dtype=bool)
+    else:
+        pib_lo, pis_lo = user_game._pi_rates(h_b, h_s, menu.rho_low, n_b, n_s, params)
+        if params.impatience == 0.0:
+            use_high = np.zeros(shape, dtype=bool)
+        else:
+            delta = user_game._delta(h_b, h_s, pib_lo, pis_lo, menu.rho_low, n_b, n_s,
+                                     params)
+            use_high = delta > params.mean_tx_size * menu.rho_high
+        if np.any(use_high):
+            pib_hi, pis_hi = user_game._pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+            pi_b = np.where(use_high, pib_hi, pib_lo)
+            pi_s = np.where(use_high, pis_hi, pis_lo)
+        else:
+            pi_b, pi_s = pib_lo, pis_lo
+
+    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
+    return lam_h, lam_l, use_high
+
+
+def sufficient_fee_check(outcome, menu, params):
+    """The fee check as a rate-weighted mean of each generating type's
+    average over both fee classes, each type checked on its own."""
+    def type_avg(rates):
+        if rates.total == 0.0:
+            return None
+        if rates.rate_high == 0.0:
+            return menu.rho_low
+        if rates.rate_low == 0.0:
+            return menu.rho_high
+        return ((rates.rate_high * menu.rho_high + rates.rate_low * menu.rho_low)
+                / rates.total)
+
+    ok = True
+    per_type = []
+    for user_type, count in (("H", params.n_users_high), ("L", params.n_users_low)):
+        rates = outcome.profile.rates_for(user_type)
+        avg = type_avg(rates)
+        if avg is None:
+            continue
+        ok = ok and (avg >= params.system_storage_per_byte)
+        per_type.append((avg, count * rates.total))
+    if not per_type:
+        return float("nan"), True
+    if len({avg for avg, _ in per_type}) == 1:
+        return per_type[0][0], ok
+    weighted = sum(avg * rate for avg, rate in per_type)
+    total_rate = sum(rate for _, rate in per_type)
+    return weighted / total_rate, ok
+
+
+def miner_sum(outcome, menu, params):
+    """Miners' welfare with the acceptance rule applied class by class:
+    fees on the included classes less their system storage cost."""
+    c_s = params.storage_cost_per_byte
+    sbar = params.mean_tx_size
+    agg1, agg2 = outcome.profile.aggregate(params)
+    incl = (agg1 if menu.rho_high >= c_s else 0.0) + (agg2 if menu.rho_low >= c_s else 0.0)
+    fee_inflow = sbar * ((agg1 * menu.rho_high if menu.rho_high >= c_s else 0.0)
+                         + (agg2 * menu.rho_low if menu.rho_low >= c_s else 0.0))
+    return fee_inflow - params.system_storage_per_byte * sbar * incl
+
+
+def payoff(user_type, profile, wait, menu, tax, params):
+    """One user's payoff with the tax inflow from every other user's
+    transactions counted class by class, at the accepted fees only."""
+    own = profile.rates_for(user_type)
+    result = user_game._payoff_before_inflow(user_type, own.rate_high, own.rate_low, wait,
+                                             menu, tax, params)
+
+    c_s = params.storage_cost_per_byte
+    incl_hi = menu.rho_high >= c_s
+    incl_lo = menu.rho_low >= c_s
+    rates_h = profile.rates_high_type
+    rates_l = profile.rates_low_type
+    incl_h_tot = (rates_h.rate_high if incl_hi else 0.0) + (rates_h.rate_low if incl_lo else 0.0)
+    incl_l_tot = (rates_l.rate_high if incl_hi else 0.0) + (rates_l.rate_low if incl_lo else 0.0)
+    n_h, n_l = params.n_users_high, params.n_users_low
+    if user_type == "H":
+        inflow = (n_h - 1) * incl_h_tot * tax.p_hh + n_l * incl_l_tot * tax.p_lh
+    else:
+        inflow = n_h * incl_h_tot * tax.p_hl + (n_l - 1) * incl_l_tot * tax.p_ll
+    return result + inflow

@@ -48,7 +48,7 @@ def test_criterion_1_sufficient_fee_guarantee():
     for params in grid:
         mech = optimal_mechanism(params)
         out = induced_outcome(mech, params)
-        _, ok = sufficient_fee_check(out, mech.menu, params)
+        _, ok = sufficient_fee_check(out, params)
         if not ok:
             violations.append(params)
     elapsed = time.perf_counter() - start

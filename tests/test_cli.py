@@ -231,6 +231,19 @@ def test_sweep_bad_range(bad, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--axis", "gamma", "--paper-scale", "--steps", "2"],
+    ["--axis", "n_users", "--paper-scale", "--range", "50:60"],
+], ids=["other-axis", "with-range"])
+def test_sweep_paper_scale_misuse_rejected(argv, capsys):
+    """--paper-scale sets the n_users range, so it is invalid on another
+    axis or next to --range instead of being ignored."""
+    code, out, err = run_cli(["sweep"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+
+
 def test_sweep_cost_ratio(capsys):
     code, out, _ = run_cli(["sweep", "--axis", "cost_ratio", "--steps", "3",
                             "--param", "utility_high=4e-3",
@@ -304,7 +317,9 @@ def test_check_unknown_suite_rejected(capsys):
     ["miner_ne", "--budget", "-1"],
     ["miner_ne", "--budget", "0"],
     ["prop2", "--budget", "1"],     # a one-fee grid holds no menu
-], ids=["negative", "zero", "one_fee"])
+    ["user_ne", "--budget", "1"],   # one NoGeneration point certifies nothing
+    ["lemma1", "--budget", "1"],    # one replication forms no interval
+], ids=["negative", "zero", "one_fee", "one_user_ne_point", "one_replication"])
 def test_check_rejects_degenerate_budget(capsys, argv):
     code, out, err = run_cli(["check"] + argv, capsys)
     assert code == 2
@@ -318,7 +333,10 @@ SOLVE_NON_FINITE = {"outcome.waiting_rate.H", "outcome.waiting_rate.L",
 
 
 def _non_finite_paths(doc, prefix=""):
-    if isinstance(doc, dict):
+    if isinstance(doc, list):
+        for value in doc:
+            yield from _non_finite_paths(value, f"{prefix}[].")
+    elif isinstance(doc, dict):
         for key, value in doc.items():
             yield from _non_finite_paths(value, f"{prefix}{key}.")
     elif isinstance(doc, float) and not math.isfinite(doc):
@@ -366,3 +384,57 @@ def test_solve_json_non_finite_only_in_documented_fields(capsys):
                 assert load >= p.block_rate, argv
         seen |= paths
     assert seen == SOLVE_NON_FINITE
+
+
+# The sweep CSV columns that may hold NaN (README, "Sweep CSV").
+SWEEP_NON_FINITE = {"fwt_avg_fee", "fwt_jain", "existing_avg_fee", "existing_jain",
+                    "improvement_pct"}
+
+
+def test_sweep_csv_non_finite_only_in_documented_fields(capsys):
+    """The FWT columns are NaN only where nobody generates, the baseline's
+    only where it sends nothing, and no other column is ever non-finite."""
+    seen = set()
+    for argv in (["--axis", "r_high", "--range", "1e-6:3e-3", "--steps", "7"],
+                 ["--axis", "cost_ratio", "--steps", "4"],
+                 ["--axis", "gamma", "--steps", "3", "--param", "impatience=0"]):
+        code, out, _ = run_cli(["sweep"] + argv, capsys)
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            assert row["error"] == ""
+            nums = {k: float(v) for k, v in row.items()
+                    if k not in ("axis", "error", "existing_converged")}
+            paths = {k for k, v in nums.items() if not math.isfinite(v)}
+            assert paths <= SWEEP_NON_FINITE, (argv, row)
+            assert all(math.isnan(nums[k]) for k in paths)
+            if nums["fwt_payoff_h"] != 0.0 or nums["fwt_payoff_l"] != 0.0:
+                assert not paths & {"fwt_avg_fee", "fwt_jain"}, row
+            if nums["existing_welfare"] != 0.0:
+                assert not paths & {"existing_avg_fee", "existing_jain",
+                                    "improvement_pct"}, row
+            seen |= paths
+    assert seen == SWEEP_NON_FINITE
+
+
+# The simulate JSON fields that are NaN at --replications 1 (README,
+# "Simulate JSON"); every other field is always finite.
+SIMULATE_ONE_REPLICATION_NAN = {
+    "user_wait_ci.[]", "user_payoff_ci.[]", "type_wait_ci.H", "type_wait_ci.L",
+    "type_payoff_ci.H", "type_payoff_ci.L", "welfare_ci"}
+
+
+@pytest.mark.parametrize("replications", [1, 2])
+def test_simulate_json_non_finite_only_in_documented_fields(capsys, replications):
+    for extra in ([], ["--param", "impatience=0"],
+                  ["--param", "utility_high=5e-4", "--param", "utility_low=2.5e-4"]):
+        code, out, _ = run_cli(["simulate", "--horizon", "200", "--replications",
+                                str(replications)] + extra, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        paths = set(_non_finite_paths(doc))
+        if replications == 1:
+            assert paths == SIMULATE_ONE_REPLICATION_NAN, extra
+            for key in ("user_wait_ci", "user_payoff_ci"):
+                assert all(math.isnan(v) for v in doc[key])
+        else:
+            assert paths == set(), extra

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fwt.checks import prop2_draws
+from fwt.checks import criterion_grid, prop2_draws
 from fwt.mechanism import (
     OracleResult,
     _case2,
@@ -16,8 +18,17 @@ from fwt.mechanism import (
     tax_comparison,
     unconstrained_optimum_oracle,
 )
-from fwt.model import FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector
-from fwt.user_game import _stage2_rates_core, best_response_check, sne_select
+from fwt.model import (
+    FeeMenu,
+    HeteroCostParams,
+    SneKind,
+    SystemParams,
+    TaxVector,
+    validate_params,
+)
+from fwt.user_game import best_response_check, sne_select, user_payoff
+
+import reference
 
 
 # frozen expectations at the evaluation defaults (gamma=5e-5, R_H=1.8e-3):
@@ -178,7 +189,7 @@ def test_welfare_no_generation_zero(table_params):
 def test_sufficient_fee_holds_exactly_at_bound(table_params):
     mech = optimal_mechanism(table_params)
     out = induced_outcome(mech, table_params)
-    avg, ok = sufficient_fee_check(out, mech.menu, table_params)
+    avg, ok = sufficient_fee_check(out, table_params)
     assert ok
     assert avg == table_params.system_storage_per_byte  # bitwise: same formula
 
@@ -188,7 +199,7 @@ def test_sufficient_fee_fails_at_single_miner_price(table_params):
     menu = FeeMenu(rho_high=2 * c_s, rho_low=c_s)
     out = sne_select(menu, TaxVector.zero(), table_params)
     assert out.profile.rates_high_type.total > 0
-    avg, ok = sufficient_fee_check(out, menu, table_params)
+    avg, ok = sufficient_fee_check(out, table_params)
     assert not ok
     assert avg < table_params.system_storage_per_byte
 
@@ -197,21 +208,75 @@ def test_sufficient_fee_vacuous_without_generation(table_params):
     p = replace(table_params, utility_high=1e-6, utility_low=5e-7)
     mech = optimal_mechanism(p)
     out = induced_outcome(mech, p)
-    avg, ok = sufficient_fee_check(out, mech.menu, p)
+    avg, ok = sufficient_fee_check(out, p)
     assert ok and math.isnan(avg)
 
 
-def test_mixed_rate_average_fee(table_params):
-    """Weighted average when a profile straddles both fee classes."""
-    from fwt.model import RatePair, StrategyProfile
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
-    menu = FeeMenu(rho_high=1e-5, rho_low=5e-6)
-    prof = StrategyProfile(RatePair(0.03, 0.01), RatePair(0.0, 0.0))
-    # the fee check reads the rates alone; the rest is a selected outcome's
-    out = replace(sne_select(menu, TaxVector.zero(), table_params), profile=prof)
-    avg, ok = sufficient_fee_check(out, menu, table_params)
-    assert avg == pytest.approx((0.03 * 1e-5 + 0.01 * 5e-6) / 0.04, rel=1e-15)
-    assert ok  # 8.75e-6 >= 5e-6
+
+def _check_one_fee_outcome(menu, tax, p):
+    """The selected outcome sends each type at one fee, `fee_used`, and any
+    positive rate at an accepted fee; the fee check, the miners' welfare
+    and the payoffs equal their class-by-class references bit for bit."""
+    out = sne_select(menu, tax, p)
+    assert out.fee_used in (menu.rho_high, menu.rho_low)
+    used_high = out.fee_used == menu.rho_high
+    rates = (out.profile.rates_high_type, out.profile.rates_low_type)
+    for r in rates:
+        assert (r.rate_low if used_high else r.rate_high) == 0.0
+    if any(r.total > 0.0 for r in rates):
+        assert out.fee_used >= p.storage_cost_per_byte
+
+    avg, ok = sufficient_fee_check(out, p)
+    ref_avg, ref_ok = reference.sufficient_fee_check(out, menu, p)
+    assert _same(avg, ref_avg) and ok == ref_ok
+    assert social_welfare(out, menu, tax, p).miner_sum == reference.miner_sum(out, menu, p)
+    other = TaxVector(p_hh=tax.p_ll, p_hl=tax.p_lh, p_lh=tax.p_hl, p_ll=tax.p_hh)
+    for t, wait, pay in (("H", out.waiting_rate_high, out.payoff_high),
+                         ("L", out.waiting_rate_low, out.payoff_low)):
+        assert _same(pay, reference.payoff(t, out.profile, wait, menu, tax, p))
+        assert _same(user_payoff(t, out, menu, other, p),
+                     reference.payoff(t, out.profile, wait, menu, other, p))
+    return out
+
+
+def test_selected_outcome_uses_one_accepted_fee():
+    d = SystemParams()
+    points = criterion_grid(8) + prop2_draws(17) + [
+        replace(d, impatience=0.0), replace(d, n_users_high=1)]
+    kinds = set()
+    for p in points:
+        for split in ("fairness", "uniform"):
+            mech = optimal_mechanism(p, tax_split=split)
+            kinds.add(_check_one_fee_outcome(mech.menu, mech.tax, p).sne_kind)
+    assert kinds == {SneKind.LOW_FEE, SneKind.NO_GENERATION}
+
+
+_FEE_MULTIPLE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fees=st.tuples(_FEE_MULTIPLE, _FEE_MULTIPLE),
+    c_s=st.floats(1e-10, 1e-6),
+    gamma=st.sampled_from([0.0]) | st.floats(1e-6, 1e-3),
+    counts=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+    utilities=st.tuples(st.floats(0.0, 5e-3), st.floats(0.0, 5e-3)),
+    tax=st.tuples(*[st.floats(-2e-5, 2e-5)] * 4),
+)
+def test_selected_outcome_uses_one_accepted_fee_on_random_menus(fees, c_s, gamma, counts,
+                                                                utilities, tax):
+    lo, hi = sorted(fees)
+    rho_low = lo * c_s
+    menu = FeeMenu(rho_high=max(hi * c_s, math.nextafter(rho_low, math.inf)),
+                   rho_low=rho_low)
+    p = replace(SystemParams(), storage_cost_per_byte=c_s, impatience=gamma,
+                n_users_high=counts[0], n_users_low=counts[1],
+                utility_high=max(utilities), utility_low=min(utilities))
+    assume(not validate_params(p))
+    _check_one_fee_outcome(menu, TaxVector(*tax), p)
 
 
 def test_theorem_matches_oracle_on_coarse_grid(table_params):
@@ -288,7 +353,7 @@ def _pair_loop_oracle(params, grid_points):
     for i in range(1, grid_points):
         for j in range(i):
             menu = FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j]))
-            lam_h, lam_l, _ = _stage2_rates_core(r_h - qh, r_l - ql, menu, params)
+            lam_h, lam_l, _ = reference.stage2_rates_core(r_h - qh, r_l - ql, menu, params)
             lam = n_h * lam_h + n_l * lam_l
             if gamma == 0.0:
                 wait_cost = 0.0
@@ -432,5 +497,5 @@ def test_hetero_sufficient_fee_against_hetero_bound(table_params):
     mech, p_eff = optimal_mechanism_hetero(p, hc)
     out = induced_outcome(mech, p_eff)
     assert out.profile.rates_high_type.total > 0
-    _, ok = sufficient_fee_check(out, mech.menu, p_eff)
+    _, ok = sufficient_fee_check(out, p_eff)
     assert ok

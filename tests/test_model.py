@@ -187,5 +187,5 @@ def test_validated_params_survive_downstream(n_h, n_l, gamma, c_s, r_low,
     ind = induced_outcome(mech, p)
     w = social_welfare(ind, mech.menu, mech.tax, p)
     assert math.isfinite(w.total)
-    _, ok = sufficient_fee_check(ind, mech.menu, p)
+    _, ok = sufficient_fee_check(ind, p)
     assert ok

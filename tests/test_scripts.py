@@ -59,6 +59,14 @@ def test_validate_against_simulator_prints_lemma1_suite(capsys, horizon):
     assert code == (0 if suite.passed else 1)
 
 
+def test_validate_against_simulator_rejects_one_replication(capsys):
+    script = _load_script("validate_against_simulator")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--replications", "1"])
+    assert exc.value.code == 2
+    assert "--replications must be at least 2" in capsys.readouterr().err
+
+
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve and one check suite, the
     script writes the solve JSON as `fwt solve` prints it and the suite's

@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 from fwt.checks import criterion_grid, prop2_draws
 from fwt.mechanism import induced_outcome, optimal_mechanism
 from fwt.model import FeeMenu, RatePair, SneKind, StrategyProfile, SystemParams, TaxVector
-from fwt.queue import InvariantError, by_role, split_roles
+from fwt.queue import InvariantError, split_roles
 from fwt.user_game import (
     _accumulated_wait_rate,
     _delta,
     _pi_rates,
-    _stage2_rates_core,
     best_response_check,
     sne_select,
     user_payoff,
     waiting_rate,
 )
+
+import reference
 
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
@@ -349,39 +350,6 @@ def test_sne_select_nothing_accepted():
     assert out.sne_kind is SneKind.NO_GENERATION
 
 
-def _reference_stage2_rates_core(h_high, h_low, menu, params):
-    """The Stage-II choice as written before the per-fee solve moved to
-    `_at_fee`, kept as the reference for the merged core."""
-    c_s = params.storage_cost_per_byte
-    b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
-                                                params.n_users_low)
-
-    shape = h_b.shape
-    if menu.rho_high < c_s:
-        pi_b = np.zeros(shape)
-        pi_s = np.zeros(shape)
-        use_high = np.zeros(shape, dtype=bool)
-    elif menu.rho_low < c_s:
-        pi_b, pi_s = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-        use_high = np.ones(shape, dtype=bool)
-    else:
-        pib_lo, pis_lo = _pi_rates(h_b, h_s, menu.rho_low, n_b, n_s, params)
-        if params.impatience == 0.0:
-            use_high = np.zeros(shape, dtype=bool)
-        else:
-            delta = _delta(h_b, h_s, pib_lo, pis_lo, menu.rho_low, n_b, n_s, params)
-            use_high = delta > params.mean_tx_size * menu.rho_high
-        if np.any(use_high):
-            pib_hi, pis_hi = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-            pi_b = np.where(use_high, pib_hi, pib_lo)
-            pi_s = np.where(use_high, pis_hi, pis_lo)
-        else:
-            pi_b, pi_s = pib_lo, pis_lo
-
-    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
-    return lam_h, lam_l, use_high
-
-
 _FEE_MULTIPLE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
 
 
@@ -394,38 +362,41 @@ _FEE_MULTIPLE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
     counts=st.tuples(st.integers(1, 300), st.integers(1, 300)),
     h=st.lists(st.tuples(st.floats(-1e-3, 5e-3), st.floats(-1e-3, 5e-3)),
                min_size=1, max_size=8),
-    as_array=st.booleans(),
 )
 # both fees refused; rho_H at C_s over a refused rho_L; rho_L at C_s
 @example(fees=(0.25, 0.5), c_s=5e-7, gamma=5e-5, mu=15.0, counts=(100, 100),
-         h=[(1.8e-3, 9e-4)], as_array=False)
+         h=[(1.8e-3, 9e-4)])
 @example(fees=(0.5, 1.0), c_s=5e-7, gamma=5e-5, mu=15.0, counts=(100, 100),
-         h=[(1.8e-3, 9e-4)], as_array=False)
+         h=[(1.8e-3, 9e-4)])
 @example(fees=(1.0, 1.01), c_s=5e-7, gamma=5e-5, mu=15.0, counts=(100, 100),
-         h=[(1.8e-3, 9e-4), (9e-4, 1.8e-3)], as_array=True)
+         h=[(1.8e-3, 9e-4), (9e-4, 1.8e-3)])
 @example(fees=(1.0, 1.01), c_s=5e-7, gamma=0.0, mu=15.0, counts=(100, 100),
-         h=[(1.8e-3, 9e-4)], as_array=False)
-def test_stage2_core_matches_reference(fees, c_s, gamma, mu, counts, h, as_array):
-    """The per-fee Stage-II choice equals the branch-by-branch original,
-    bit for bit, on 0-d and array utilities with both role assignments."""
+         h=[(1.8e-3, 9e-4)])
+def test_stage2_core_matches_reference(fees, c_s, gamma, mu, counts, h):
+    """sne_select's per-type rates and fee choice equal the branch-by-branch
+    original, bit for bit, one utility pair at a time with both role
+    assignments."""
     lo, hi = sorted(fees)
     rho_low = lo * c_s
     rho_high = max(hi * c_s, math.nextafter(rho_low, math.inf))
     menu = FeeMenu(rho_high=rho_high, rho_low=rho_low)
     params = replace(SystemParams(), storage_cost_per_byte=c_s, impatience=gamma,
                      block_rate=mu, n_users_high=counts[0], n_users_low=counts[1])
-    h_high, h_low = np.array(h).T if as_array else h[0]
-    for args in ((h_high, h_low), (h_low, h_high)):  # B = H, then B = L
-        try:
-            want = _reference_stage2_rates_core(*args, menu, params)
-        except InvariantError:
-            with pytest.raises(InvariantError):
-                _stage2_rates_core(*args, menu, params)
-            continue
-        got = _stage2_rates_core(*args, menu, params)
-        for g, w in zip(got, want):
-            assert np.shape(g) == np.shape(w)
-            assert np.array_equal(g, w)
+    for pair in h:
+        for h_high, h_low in (pair, pair[::-1]):  # B = H, then B = L
+            # zero tax: the utilities are the net utilities
+            p = replace(params, utility_high=h_high, utility_low=h_low)
+            try:
+                want_h, want_l, want_high = reference.stage2_rates_core(h_high, h_low,
+                                                                        menu, p)
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    sne_select(menu, TaxVector.zero(), p)
+                continue
+            got = sne_select(menu, TaxVector.zero(), p)
+            assert got.profile.rates_high_type.total == float(want_h)
+            assert got.profile.rates_low_type.total == float(want_l)
+            assert got.fee_used == (rho_high if want_high else rho_low)
 
 
 # --- payoffs ----------------------------------------------------------------------
