@@ -8,6 +8,7 @@ measured welfare and per-type payoffs against the analytic values. Exits 1
 when the Lemma-1 suite fails.
 """
 import argparse
+import math
 import sys
 
 from fwt.checks import check_lemma1
@@ -24,6 +25,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.replications < 2:
         parser.error(f"--replications must be at least 2, got {args.replications}")
+    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
+        parser.error(f"--horizon must be positive and finite, got {args.horizon}")
 
     lemma1 = check_lemma1(replications=args.replications, horizon=args.horizon,
                           seed=args.seed)
@@ -34,9 +37,9 @@ def main(argv=None) -> int:
     mech = optimal_mechanism(params)
     out = induced_outcome(mech, params)
     analytic = social_welfare(out, mech.menu, mech.tax, params)
+    horizon = 1e5 / params.block_rate if args.horizon is None else args.horizon
     cfg = SimConfig(params=params, menu=mech.menu, tax=mech.tax,
-                    profile=out.profile, seed=args.seed,
-                    horizon=args.horizon or 1e5 / params.block_rate,
+                    profile=out.profile, seed=args.seed, horizon=horizon,
                     replications=args.replications)
     report = run(cfg)
     print(f"welfare: analytic={analytic.total:.6g} "

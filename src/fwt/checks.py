@@ -21,7 +21,7 @@ from .mechanism import (
     tax_comparison,
     unconstrained_optimum_oracle,
 )
-from .miner_game import PendingTx, TxPool, check_miner_nash, equilibrium_selection, uniform_profile
+from .miner_game import PendingTx, TxPool, check_miner_nash, equilibrium_selection
 from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
 from .sim import SimConfig, run as run_sim
 from .user_game import best_response_check, sne_select, waiting_rate
@@ -130,7 +130,7 @@ def check_miner_ne(budget: int = 1000, seed: int = 0) -> CheckResult:
             # Corollary-1 threshold: included iff top fee clears C_s
             top_fee = max(t.fee_per_byte for t in pool)
             threshold_ok = (sel is not None) == (top_fee >= params.storage_cost_per_byte)
-            dev = check_miner_nash(uniform_profile(sel, params), pool, params)
+            dev = check_miner_nash([sel] * params.n_miners, pool, params)
             if dev is not None or not threshold_ok:
                 failures += 1
                 if len(details) < 5:
@@ -227,8 +227,12 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
     """Compare simulator waiting rates to the analytic formulas per type.
 
     Pass when the analytic value lies inside the 95% interval or within the
-    relative tolerance. Requires a strictly stable profile (finite waits).
+    relative tolerance. Requires a strictly stable profile (finite waits)
+    and at least two replications, so that the interval exists.
     """
+    if replications < 2:
+        raise ValueError(f"replications must be at least 2 to form a Student-t "
+                         f"interval, got {replications}")
     if horizon is None:
         horizon = 1e5 / params.block_rate
     analytic = {t: waiting_rate(t, profile, menu, params) for t in ("H", "L")}
@@ -255,9 +259,6 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
 def check_lemma1(replications: int = 10, horizon: float | None = None,
                  seed: int = 0) -> CheckResult:
     """Simulator waiting rates match the closed forms at stable profiles."""
-    if replications < 2:
-        raise ValueError(f"replications must be at least 2 to form a Student-t "
-                         f"interval, got {replications}")
 
     def body():
         details = []

@@ -31,7 +31,6 @@ from .mechanism import (
 from .model import (
     HeteroCostParams,
     SystemParams,
-    apply_overrides,
     params_from_mapping,
     parse_config,
     validate_params,
@@ -49,14 +48,14 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _load_params(args) -> SystemParams:
-    if getattr(args, "config", None):
-        text = Path(args.config).read_text()
-        params = params_from_mapping(parse_config(text))
-    else:
-        params = SystemParams()
-    overrides = getattr(args, "param", None) or []
-    if overrides:
-        params = apply_overrides(params, overrides)
+    """The config file's lines, then each `--param key=value` (last wins)."""
+    mapping = parse_config(Path(args.config).read_text()) if args.config else {}
+    for item in args.param or []:
+        if "=" not in item:
+            raise ValueError(f"override must be key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        mapping[key.strip()] = value.strip()
+    params = params_from_mapping(mapping)
     errors = validate_params(params)
     if errors:
         raise InvalidInput("; ".join(errors))
@@ -68,21 +67,12 @@ class InvalidInput(Exception):
 
 
 def _parse_hetero(spec: str, params: SystemParams) -> HeteroCostParams:
-    """Parse `ratio=10[,cost_low=5e-10][,split=0.5]`."""
-    fields = {}
-    for item in spec.split(","):
-        if "=" not in item:
-            raise InvalidInput(f"bad --hetero entry {item!r}")
-        k, v = item.split("=", 1)
-        fields[k.strip()] = float(v)
-    cost_low = fields.pop("cost_low", params.storage_cost_per_byte)
-    split = fields.pop("split", 0.5)
-    ratio = fields.pop("ratio", None)
-    if fields:
-        raise InvalidInput(f"unknown --hetero keys {sorted(fields)}")
-    if ratio is None:
-        raise InvalidInput("--hetero requires ratio=<x>")
-    return HeteroCostParams(cost_low=cost_low, cost_high=ratio * cost_low, split=split)
+    """Parse `ratio=X`: the high tier costs X times `storage_cost_per_byte`."""
+    key, _, value = spec.partition("=")
+    if key.strip() != "ratio" or not value or "," in value:
+        raise InvalidInput(f"--hetero takes ratio=<x>, got {spec!r}")
+    cost_low = params.storage_cost_per_byte
+    return HeteroCostParams(cost_low=cost_low, cost_high=float(value) * cost_low)
 
 
 def _emit(payload: str, out: str | None):
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="optimal mechanism + induced equilibrium")
     common(p_solve)
-    p_solve.add_argument("--hetero", metavar="ratio=X[,cost_low=Y][,split=Z]",
+    p_solve.add_argument("--hetero", metavar="ratio=X",
                          help="two-tier miner storage costs")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at the solved SNE")
     common(p_sim)
-    p_sim.add_argument("--hetero", metavar="ratio=X[,cost_low=Y][,split=Z]")
+    p_sim.add_argument("--hetero", metavar="ratio=X")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--replications", type=int, default=10)

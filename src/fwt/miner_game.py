@@ -19,7 +19,6 @@ __all__ = [
     "storage_cost",
     "miner_payoff",
     "equilibrium_selection",
-    "uniform_profile",
     "check_miner_nash",
 ]
 
@@ -129,11 +128,6 @@ def equilibrium_selection(pool: TxPool, params: SystemParams) -> Selection:
     if best.fee_per_byte >= params.storage_cost_per_byte:
         return best
     return None
-
-
-def uniform_profile(selection: Selection, params: SystemParams) -> list[Selection]:
-    """Profile where every miner makes the same selection."""
-    return [selection] * params.n_miners
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ setup: currency in USD, time in seconds, sizes in bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "require_valid",
     "params_from_mapping",
     "parse_config",
-    "apply_overrides",
 ]
 
 _POWER_SUM_TOL = 1e-12
@@ -214,24 +213,21 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class HeteroCostParams:
-    """Two-tier miner storage costs; `split` is the fraction at high cost."""
+    """Two-tier miner storage costs, half of the miners at each tier."""
 
     cost_low: float
     cost_high: float
-    split: float = 0.5
 
     def __post_init__(self):
         if not (self.cost_high >= self.cost_low > 0):
             raise ValueError(
                 f"requires cost_high >= cost_low > 0, got ({self.cost_high}, {self.cost_low})"
             )
-        if not (0.0 <= self.split <= 1.0):
-            raise ValueError(f"split must be in [0, 1], got {self.split}")
 
     @property
     def mean_cost(self) -> float:
         """Average per-miner storage cost per byte."""
-        return self.split * self.cost_high + (1.0 - self.split) * self.cost_low
+        return 0.5 * self.cost_high + 0.5 * self.cost_low
 
 
 # --- config file I/O -------------------------------------------------------
@@ -282,18 +278,3 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def apply_overrides(p: SystemParams, overrides: list[str]) -> SystemParams:
-    """Apply CLI-style `key=value` overrides on top of existing params."""
-    mapping = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    updates = {}
-    for key, raw in mapping.items():
-        rebuilt = params_from_mapping({key: raw})
-        updates[key] = getattr(rebuilt, key)
-    return replace(p, **updates)

@@ -143,15 +143,73 @@ def test_solve_rejects_non_finite_param(value, capsys):
 
 
 def test_solve_bad_param_syntax(capsys):
-    code, _, err = run_cli(["solve", "--param", "nonsense"], capsys)
-    assert code == 2
+    assert run_cli(["solve", "--param", "nonsense"], capsys) == (
+        2, "", "invalid input: override must be key=value, got 'nonsense'\n")
 
 
 def test_solve_hetero_ratio(capsys):
+    """Half of the miners at each tier: `ratio=10` prints, byte for byte,
+    the solve at the mean storage cost 0.5 * 10 * C_s + 0.5 * C_s."""
     code, out, _ = run_cli(["solve", "--hetero", "ratio=10"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["mechanism"]["rho_low"] == pytest.approx(2.75e-5, rel=1e-12)
+    c_s = SystemParams().storage_cost_per_byte
+    mean = 0.5 * (10 * c_s) + 0.5 * c_s
+    assert out == run_cli(["solve", "--param", f"storage_cost_per_byte={mean!r}"], capsys)[1]
+
+
+@pytest.mark.parametrize("spec", ["cost_low=1e-9", "ratio=2,split=0.5",
+                                  "ratio=2,cost_low=1e-9", "ratio", "split=0.5"])
+def test_hetero_takes_ratio_only(capsys, spec):
+    code, out, err = run_cli(["solve", "--hetero", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+
+
+def test_param_overrides_config_key(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("impatience = 2e-4\n")
+    code, out, _ = run_cli(["solve", "--config", str(cfg), "--param", "impatience=1e-4"],
+                           capsys)
+    assert code == 0
+    assert out == run_cli(["solve", "--param", "impatience=1e-4"], capsys)[1]
+    assert out != run_cli(["solve", "--config", str(cfg)], capsys)[1]
+
+
+def test_param_and_config_keys_combine(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("impatience = 2e-4\n")
+    code, out, _ = run_cli(["solve", "--config", str(cfg), "--param", "n_users_high=50"],
+                           capsys)
+    assert code == 0
+    both = run_cli(["solve", "--param", "impatience=2e-4", "--param", "n_users_high=50"],
+                   capsys)[1]
+    assert out == both
+    assert out != run_cli(["solve", "--config", str(cfg)], capsys)[1]
+    assert out != run_cli(["solve", "--param", "n_users_high=50"], capsys)[1]
+
+
+@pytest.mark.parametrize("config, param, message", [
+    ("impatience = 2e-4\n", "nonsense", "override must be key=value, got 'nonsense'"),
+    (None, "bogus=1", "\"unknown parameter 'bogus'\""),
+    ("bogus = 1\n", None, "\"unknown parameter 'bogus'\""),
+    ("bogus = 1\n", "impatience=1e-4", "\"unknown parameter 'bogus'\""),
+    (None, "impatience=abc", "could not convert string to float: 'abc'"),
+    ("impatience = abc\n", None, "could not convert string to float: 'abc'"),
+], ids=["param_no_equals_with_config", "param_unknown_key",
+        "config_unknown_key", "config_unknown_key_with_param", "param_bad_value",
+        "config_bad_value"])
+def test_parameter_sources_reject_bad_items(tmp_path, capsys, config, param, message):
+    argv = ["solve"]
+    if config is not None:
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    if param is not None:
+        argv += ["--param", param]
+    assert run_cli(argv, capsys) == (2, "", f"invalid input: {message}\n")
 
 
 def test_solve_uniform_tax_split(capsys):

@@ -12,7 +12,6 @@ from fwt.miner_game import (
     equilibrium_selection,
     miner_payoff,
     storage_cost,
-    uniform_profile,
 )
 from fwt.model import SystemParams
 
@@ -135,7 +134,7 @@ def test_theorem1_not_nash_under_size_heterogeneity():
     pool = TxPool([small_top, big_second])
     sel = equilibrium_selection(pool, p)
     assert sel == small_top  # rule still picks the highest fee-per-byte
-    dev = check_miner_nash(uniform_profile(sel, p), pool, p)
+    dev = check_miner_nash([sel] * p.n_miners, pool, p)
     assert dev is not None and dev.deviation == big_second
     # net surplus ordering is what the deviation exploits
     assert 1000.0 * (2.9e-9 - 1e-9) > 10.0 * (3e-9 - 1e-9)
@@ -162,7 +161,7 @@ def test_equilibrium_is_nash_on_uniform_size_pools(fees, times, m, data):
     sel = equilibrium_selection(pool, p)
     top_fee = max(f.fee_per_byte for f in pool)
     assert (sel is not None) == (top_fee >= p.storage_cost_per_byte)
-    assert check_miner_nash(uniform_profile(sel, p), pool, p) is None
+    assert check_miner_nash([sel] * p.n_miners, pool, p) is None
 
 
 def test_pool_rejects_duplicates_and_sorts():

@@ -1,16 +1,17 @@
 import math
+from argparse import Namespace
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwt.cli import _load_params
 from fwt.model import (
     FeeMenu,
     RatePair,
     SystemParams,
     TaxVector,
-    apply_overrides,
     params_from_mapping,
     parse_config,
     require_valid,
@@ -118,11 +119,11 @@ def test_config_comments_and_errors():
 
 
 def test_overrides():
-    p = apply_overrides(SystemParams(), ["impatience=1e-4", "n_users_high=7"])
-    assert p.impatience == 1e-4
-    assert p.n_users_high == 7
-    with pytest.raises(ValueError):
-        apply_overrides(SystemParams(), ["no_equals_sign"])
+    """`--param` items go through the same mapping as a config file."""
+    p = _load_params(Namespace(config=None, param=["impatience=1e-4", "n_users_high=7"]))
+    assert p == replace(SystemParams(), impatience=1e-4, n_users_high=7)
+    with pytest.raises(ValueError, match="override must be key=value"):
+        _load_params(Namespace(config=None, param=["no_equals_sign"]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -67,6 +67,19 @@ def test_validate_against_simulator_rejects_one_replication(capsys):
     assert "--replications must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5", "nan", "inf"])
+def test_validate_against_simulator_rejects_bad_horizon(capsys, horizon):
+    """A horizon that is not positive and finite is a usage error (exit 2),
+    not a failed Lemma-1 suite (exit 1), and nothing is simulated."""
+    script = _load_script("validate_against_simulator")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--horizon", horizon])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--horizon must be positive and finite" in captured.err
+
+
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve and one check suite, the
     script writes the solve JSON as `fwt solve` prints it and the suite's

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fwt import sim
-from fwt.checks import validate_lemma1
+from fwt.checks import lemma1_profiles, validate_lemma1
 from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
 from fwt.sim import SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run
@@ -112,6 +112,14 @@ def test_lemma1_rejects_unstable_profiles():
     prof = StrategyProfile(RatePair(0.0, 1.0), RatePair(0.0, 1.0))
     with pytest.raises(ValueError):
         validate_lemma1(TWO_USERS, HIGH_ONLY, prof)
+
+
+def test_lemma1_rejects_one_replication():
+    """One replication forms no Student-t interval, so the rule is refused
+    rather than left to the 2% band alone."""
+    _, params, menu, profile = lemma1_profiles()[0]
+    with pytest.raises(ValueError, match="replications must be at least 2"):
+        validate_lemma1(params, menu, profile, replications=1, horizon=200.0)
 
 
 def test_censoring_grows_for_never_included_class():
