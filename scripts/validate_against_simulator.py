@@ -27,6 +27,8 @@ def main(argv=None) -> int:
         parser.error(f"--replications must be at least 2, got {args.replications}")
     if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0):
         parser.error(f"--horizon must be positive and finite, got {args.horizon}")
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
 
     lemma1 = check_lemma1(replications=args.replications, horizon=args.horizon,
                           seed=args.seed)

@@ -66,6 +66,13 @@ class InvalidInput(Exception):
     """Signals exit code 2 with a validation report."""
 
 
+def _seed(text: str) -> int:
+    """The argparse type of `--seed`: numpy seeds with non-negative ints."""
+    if not text.isdecimal():
+        raise InvalidInput("--seed must be a non-negative integer")
+    return int(text)
+
+
 def _parse_hetero(spec: str, params: SystemParams) -> HeteroCostParams:
     """Parse `ratio=X`: the high tier costs X times `storage_cost_per_byte`."""
     key, _, value = spec.partition("=")
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at the solved SNE")
     common(p_sim)
     p_sim.add_argument("--hetero", metavar="ratio=X")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--replications", type=int, default=10)
     p_sim.add_argument("--warmup", type=float, default=0.1)
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("--budget", type=int, default=None,
                          help="suite-specific sample budget")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument("--out")
     p_check.set_defaults(fn=cmd_check)
     return parser
@@ -302,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -25,11 +25,14 @@ a statistics library off every process's start-up.
 Reproducibility: the root seed spawns one seed sequence per replication,
 and each replication numbers its random sources: child 0 draws the block
 process, child 1 the block winners, and child 2 + 2u + c the arrivals of
-user u in fee class c. Adding users never perturbs existing streams. Each
-child is the one `spawn` would return, built alone and only where it draws:
-a stream whose rate is 0 builds no generator, and the winners are drawn
-only in the first replication, the one whose event log is reported (no
-other output reads them). All exponential draws use the inverse CDF.
+user u in fee class c. Adding users never perturbs existing streams. The
+seed words of a replication's streams are computed in one batch
+(`_child_states`, numpy's SeedSequence mixing run over uint32 columns) and
+equal those of the children `spawn` would return; each seeds numpy's own
+PCG64. A stream is built only where it draws: a stream whose rate is 0
+builds no generator, and the winners are drawn only in the first
+replication, the one whose event log is reported (no other output reads
+them). All exponential draws use the inverse CDF.
 """
 from __future__ import annotations
 
@@ -85,12 +88,98 @@ class SimConfig:
                 + [self.profile.rates_low_type] * p.n_users_low)
 
 
-def _child(seed_seq: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
-    """The i-th child `seed_seq.spawn` would return next, built alone."""
-    return np.random.SeedSequence(
-        seed_seq.entropy,
-        spawn_key=seed_seq.spawn_key + (seed_seq.n_children_spawned + i,),
-        pool_size=seed_seq.pool_size)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _words(value) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of an int, or of
+    each int of a sequence in turn; 0 is one word."""
+    if not isinstance(value, (int, np.integer)):
+        return [w for v in value for w in _words(v)]
+    n = int(value)      # SeedSequence has refused negative ints already
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: list[int],
+             mult: int = _MULT_A) -> np.ndarray:
+    """numpy's `hashmix`, advancing the running constant hash_const[0]; with
+    `_MULT_B` it is one step of `generate_state`."""
+    value = value ^ np.uint32(hash_const[0])
+    hash_const[0] = hash_const[0] * mult & _MASK32
+    value = value * np.uint32(hash_const[0])
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's `mix` of two pool words."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _child_states(seed_seq: np.random.SeedSequence, children) -> np.ndarray:
+    """Seed words of children of `seed_seq`, one (4,) uint64 row each.
+
+    Row j equals `generate_state(4, np.uint64)` of the child that
+    `seed_seq.spawn` returns at position `children[j]` from now, i.e. of
+    SeedSequence(entropy, spawn_key=spawn_key + (n_children_spawned +
+    children[j],), pool_size=pool_size). numpy's mixing runs here on uint32
+    columns over all the children at once: its hash constants advance
+    independently of the data, so every child takes the same steps, and the
+    children differ only in their last entropy word, the child index. That
+    index must be a single word, below 2^32.
+    """
+    keys = seed_seq.n_children_spawned + np.asarray(children, dtype=np.int64)
+    if keys.size and not (keys.min() >= 0 and keys.max() <= _MASK32):
+        raise ValueError("child indices must lie in [0, 2**32)")
+    pool_size = seed_seq.pool_size
+    # with a spawn key present, numpy pads the run entropy to the pool size
+    run = _words(seed_seq.entropy)
+    run += [0] * (pool_size - len(run))
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in run + _words(seed_seq.spawn_key)]
+    entropy.append(keys.astype(np.uint32))
+    with np.errstate(over="ignore"):
+        # SeedSequence.mix_entropy; the entropy is longer than the pool
+        hash_const = [_INIT_A]
+        pool = [_hashmix(w, hash_const) for w in entropy[:pool_size]]
+        for src in range(pool_size):
+            for dst in range(pool_size):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
+        for word in entropy[pool_size:]:
+            for dst in range(pool_size):
+                pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
+        # SeedSequence.generate_state(4, np.uint64): 8 words cycling the pool
+        hash_const = [_INIT_B]
+        state = [_hashmix(pool[i % pool_size], hash_const, _MULT_B).astype(np.uint64)
+                 for i in range(8)]
+    return np.stack([lo | hi << np.uint64(32)
+                     for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Seed words computed ahead, handed to a bit generator as its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (len(self.words), np.uint64):
+            raise ValueError("seed words were computed for another request")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """numpy's PCG64 generator seeded with one row of `_child_states`."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _chunk_sizes(expected: np.ndarray) -> np.ndarray:
@@ -116,12 +205,12 @@ def _poisson_arrivals(seed_seq: np.random.SeedSequence, first: int, rates,
     rates = np.asarray(rates, dtype=float)
     live = np.flatnonzero(rates > 0.0)
     chunks = _chunk_sizes(rates[live] * horizon)
+    states = _child_states(seed_seq, first + live)
     counts = np.zeros(len(rates), dtype=np.int64)
     parts = []      # (processes, their times one after the other)
     for chunk in np.unique(chunks).tolist():
         rows = live[chunks == chunk]
-        gens = [np.random.Generator(np.random.PCG64(_child(seed_seq, first + i)))
-                for i in rows.tolist()]
+        gens = [_generator(words) for words in states[chunks == chunk]]
         gaps = np.empty((len(rows), chunk))
         for gen, row in zip(gens, gaps):
             gen.random(out=row)
@@ -161,9 +250,15 @@ def _fifo_served(arrivals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     walk, so block k serves exactly when D_k > D_{k-1}.
     """
     k = np.arange(len(blocks))
-    before = np.searchsorted(arrivals, blocks, side="left")
-    departed = k + np.minimum(1, np.minimum.accumulate(before - k))
-    return np.flatnonzero(np.diff(departed, prepend=0))
+    walk = np.searchsorted(arrivals, blocks, side="left")
+    np.subtract(walk, k, out=walk)
+    np.minimum.accumulate(walk, out=walk)
+    np.minimum(walk, 1, out=walk)
+    np.add(walk, k, out=walk)
+    # D_k - D_{k-1}, with D_{-1} = 0, written over k
+    np.subtract(walk[1:], walk[:-1], out=k[1:])
+    k[:1] = walk[:1]
+    return np.flatnonzero(k)
 
 
 @dataclass
@@ -272,7 +367,7 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence,
 
     events = None
     if log_events:
-        winner_gen = np.random.Generator(np.random.PCG64(_child(seed_seq, 1)))
+        winner_gen = _generator(_child_states(seed_seq, [1])[0])
         power_cdf = np.cumsum(params.powers())
         winners = np.searchsorted(power_cdf, winner_gen.random(n_blocks), side="right")
         winners = np.minimum(winners, params.n_miners - 1)

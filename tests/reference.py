@@ -1,4 +1,4 @@
-"""Earlier forms of Stage-II code, kept as references for the current one.
+"""Earlier forms of program code, kept as references for the current one.
 
 Each function is program code as it stood before a simplification, so a
 test can assert that the simplified code gives the same numbers.
@@ -110,3 +110,13 @@ def payoff(user_type, profile, wait, menu, tax, params):
     else:
         inflow = n_h * incl_h_tot * tax.p_hl + (n_l - 1) * incl_l_tot * tax.p_ll
     return result + inflow
+
+
+def child_seed_sequence(seed_seq, i):
+    """The i-th child `seed_seq.spawn` would return next, built alone: the
+    simulator's seeding before its child seed words were computed in one
+    batch."""
+    return np.random.SeedSequence(
+        seed_seq.entropy,
+        spawn_key=seed_seq.spawn_key + (seed_seq.n_children_spawned + i,),
+        pool_size=seed_seq.pool_size)

@@ -69,6 +69,14 @@ def test_seed_rejected_where_nothing_is_random(capsys, argv):
     assert "unrecognized arguments: --seed 1" in captured.err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["check", "lemma1"]],
+                         ids=["simulate", "check"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_negative_or_fractional_seed_rejected(capsys, command, seed):
+    assert run_cli(command + ["--seed", seed], capsys) == (
+        2, "", "invalid input: --seed must be a non-negative integer\n")
+
+
 def test_solve_defaults(capsys):
     code, out, _ = run_cli(["solve"], capsys)
     assert code == 0

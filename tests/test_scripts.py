@@ -80,6 +80,16 @@ def test_validate_against_simulator_rejects_bad_horizon(capsys, horizon):
     assert "--horizon must be positive and finite" in captured.err
 
 
+def test_validate_against_simulator_rejects_negative_seed(capsys):
+    script = _load_script("validate_against_simulator")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be a non-negative integer, got -1" in captured.err
+
+
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve and one check suite, the
     script writes the solve JSON as `fwt solve` prints it and the suite's

@@ -18,6 +18,8 @@ from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
 from fwt.sim import SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run
 
+import reference
+
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
 BOTH_OK = FeeMenu(rho_high=4 * C_S, rho_low=2 * C_S)
@@ -274,21 +276,26 @@ def _reference_poisson(gen, rate, horizon, chunk_size):
     return times[times <= horizon]
 
 
+# A root seed sequence, and a spawned one like the replications `run` uses.
+_PARENTS = (np.random.SeedSequence,
+            lambda seed: np.random.SeedSequence(seed).spawn(3)[2])
+
+
 def _assert_streams_match(seed, rates, horizon, block_rate=15.0,
                           chunk_size=_reference_chunk):
-    children = np.random.SeedSequence(seed).spawn(2 + len(rates))
-    gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
-    ref_blocks = _reference_poisson(gens[0], block_rate, horizon, chunk_size)
-    ref_streams = [_reference_poisson(gen, rate, horizon, chunk_size)
-                   for gen, rate in zip(gens[2:], rates)]
-    blocks, n_blocks = sim._poisson_arrivals(np.random.SeedSequence(seed), 0,
-                                             [block_rate], horizon)
-    times, counts = sim._poisson_arrivals(np.random.SeedSequence(seed), 2, rates,
-                                          horizon)
-    assert blocks.tolist() == ref_blocks.tolist()
-    assert n_blocks.tolist() == [len(ref_blocks)]
-    assert times.tolist() == np.concatenate(ref_streams).tolist()
-    assert counts.tolist() == [len(t) for t in ref_streams]
+    for parent in _PARENTS:
+        children = parent(seed).spawn(2 + len(rates))
+        gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
+        ref_blocks = _reference_poisson(gens[0], block_rate, horizon, chunk_size)
+        ref_streams = [_reference_poisson(gen, rate, horizon, chunk_size)
+                       for gen, rate in zip(gens[2:], rates)]
+        blocks, n_blocks = sim._poisson_arrivals(parent(seed), 0, [block_rate],
+                                                 horizon)
+        times, counts = sim._poisson_arrivals(parent(seed), 2, rates, horizon)
+        assert blocks.tolist() == ref_blocks.tolist()
+        assert n_blocks.tolist() == [len(ref_blocks)]
+        assert times.tolist() == np.concatenate(ref_streams).tolist()
+        assert counts.tolist() == [len(t) for t in ref_streams]
 
 
 @pytest.mark.parametrize("rates", [
@@ -320,6 +327,53 @@ def test_streams_match_reference_when_rows_overrun(monkeypatch, divisor):
        horizon=st.floats(0.5, 200.0))
 def test_streams_match_reference_on_random_rates(seed, rates, horizon):
     _assert_streams_match(seed, rates, horizon)
+
+
+_entropy = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
+            | st.integers(2**64, 2**128 - 1) | st.integers(2**128, 2**200)
+            | st.lists(st.integers(0, 2**70), min_size=1, max_size=6))
+_key_word = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70)
+
+
+# numpy's spawn counts its children in 32 bits: a parent that has spawned
+# 2**32 - 1 children runs out of memory on the next spawn, so the positions
+# drawn through spawn stop at 2**32 - 2.
+@settings(max_examples=300, deadline=None)
+@given(entropy=_entropy, spawn_key=st.lists(_key_word, max_size=3).map(tuple),
+       pool_size=st.sampled_from([4, 5, 8]), spawned=st.integers(0, 2**32 - 2),
+       data=st.data())
+def test_child_states_equal_spawned_children(entropy, spawn_key, pool_size, spawned,
+                                              data):
+    """Each row is the seed state of the child numpy's spawn returns at that
+    position, for root and spawned parents and single-word child indices."""
+    children = data.draw(st.lists(st.integers(0, 2**32 - 2 - spawned), min_size=1,
+                                  max_size=5))
+
+    def parent(n_children_spawned):
+        return np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                      pool_size=pool_size,
+                                      n_children_spawned=n_children_spawned)
+
+    states = sim._child_states(parent(spawned), children)
+    assert states.dtype == np.uint64 and states.shape == (len(children), 4)
+    for row, i in zip(states, children):
+        child = parent(spawned + i).spawn(1)[0]
+        assert row.tolist() == child.generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spawned, child", [(0, 2**32 - 1), (7, 2**32 - 8)])
+def test_child_states_at_last_single_word_index(spawned, child):
+    parent = np.random.SeedSequence(2**70 + 3, spawn_key=(2**40, 4),
+                                    n_children_spawned=spawned)
+    expected = reference.child_seed_sequence(parent, child).generate_state(4, np.uint64)
+    assert sim._child_states(parent, [child]).tolist() == [expected.tolist()]
+
+
+@pytest.mark.parametrize("spawned, child", [(0, 2**32), (1, 2**32 - 1), (0, -1)])
+def test_child_states_reject_multiword_child_index(spawned, child):
+    parent = np.random.SeedSequence(1, n_children_spawned=spawned)
+    with pytest.raises(ValueError, match=r"child indices must lie in \[0, 2\*\*32\)"):
+        sim._child_states(parent, [0, child])
 
 
 def test_event_log_from_first_replication_only(monkeypatch):
