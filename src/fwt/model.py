@@ -166,8 +166,8 @@ class RatePair:
     rate_low: float = 0.0
 
     def __post_init__(self):
-        if self.rate_high < 0 or self.rate_low < 0:
-            raise ValueError(f"rates must be nonnegative, got {self}")
+        if not (0 <= self.rate_high < math.inf and 0 <= self.rate_low < math.inf):
+            raise ValueError(f"rates must be nonnegative and finite, got {self}")
 
     @property
     def total(self) -> float:

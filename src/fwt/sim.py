@@ -23,16 +23,16 @@ degrees of freedom, inverted by Newton's method), which keeps the import of
 a statistics library off every process's start-up.
 
 Reproducibility: the root seed spawns one seed sequence per replication,
-and each replication numbers its random sources: child 0 draws the block
-process, child 1 the block winners, and child 2 + 2u + c the arrivals of
-user u in fee class c. Adding users never perturbs existing streams. The
-seed words of a replication's streams are computed in one batch
-(`_child_states`, numpy's SeedSequence mixing run over uint32 columns) and
-equal those of the children `spawn` would return; each seeds numpy's own
-PCG64. A stream is built only where it draws: a stream whose rate is 0
-builds no generator, and the winners are drawn only in the first
-replication, the one whose event log is reported (no other output reads
-them). All exponential draws use the inverse CDF.
+and each replication draws everything from one generator on it, in a fixed
+order: the block process, the arrivals of every user and class, and last
+the block winners. The independent Poisson processes share the generator:
+each draws a Poisson count and, given it, uniform order statistics
+(`_poisson_arrivals`), which is their law whatever generator they come
+from. A seed gives the same bytes on every run, but a change in the number
+of users moves every draw after the blocks. The winners are drawn only in
+the first replication, the one whose event log is reported (no other
+output reads them), and after everything else, so logging moves no other
+output. All exponential draws use the inverse CDF.
 """
 from __future__ import annotations
 
@@ -80,164 +80,35 @@ class SimConfig:
                 and len(self.per_user_rates) != self.params.n_users):
             raise ValueError("per_user_rates must have one entry per user")
 
-    def user_rates(self) -> list[RatePair]:
+    def user_rates(self) -> np.ndarray:
+        """Rates (at rho_high, at rho_low), one row per user."""
         if self.per_user_rates is not None:
-            return list(self.per_user_rates)
-        p = self.params
-        return ([self.profile.rates_high_type] * p.n_users_high
-                + [self.profile.rates_low_type] * p.n_users_low)
+            pairs, repeats = self.per_user_rates, 1
+        else:
+            pairs = (self.profile.rates_high_type, self.profile.rates_low_type)
+            repeats = [self.params.n_users_high, self.params.n_users_low]
+        rates = np.array([(r.rate_high, r.rate_low) for r in pairs], dtype=float)
+        return np.repeat(rates, repeats, axis=0)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-
-
-def _words(value) -> list[int]:
-    """The little-endian 32-bit words SeedSequence makes of an int, or of
-    each int of a sequence in turn; 0 is one word."""
-    if not isinstance(value, (int, np.integer)):
-        return [w for v in value for w in _words(v)]
-    n = int(value)      # SeedSequence has refused negative ints already
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value: np.ndarray, hash_const: list[int],
-             mult: int = _MULT_A) -> np.ndarray:
-    """numpy's `hashmix`, advancing the running constant hash_const[0]; with
-    `_MULT_B` it is one step of `generate_state`."""
-    value = value ^ np.uint32(hash_const[0])
-    hash_const[0] = hash_const[0] * mult & _MASK32
-    value = value * np.uint32(hash_const[0])
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's `mix` of two pool words."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _child_states(seed_seq: np.random.SeedSequence, children) -> np.ndarray:
-    """Seed words of children of `seed_seq`, one (4,) uint64 row each.
-
-    Row j equals `generate_state(4, np.uint64)` of the child that
-    `seed_seq.spawn` returns at position `children[j]` from now, i.e. of
-    SeedSequence(entropy, spawn_key=spawn_key + (n_children_spawned +
-    children[j],), pool_size=pool_size). numpy's mixing runs here on uint32
-    columns over all the children at once: its hash constants advance
-    independently of the data, so every child takes the same steps, and the
-    children differ only in their last entropy word, the child index. That
-    index must be a single word, below 2^32.
-    """
-    keys = seed_seq.n_children_spawned + np.asarray(children, dtype=np.int64)
-    if keys.size and not (keys.min() >= 0 and keys.max() <= _MASK32):
-        raise ValueError("child indices must lie in [0, 2**32)")
-    pool_size = seed_seq.pool_size
-    # with a spawn key present, numpy pads the run entropy to the pool size
-    run = _words(seed_seq.entropy)
-    run += [0] * (pool_size - len(run))
-    entropy = [np.array([w], dtype=np.uint32)
-               for w in run + _words(seed_seq.spawn_key)]
-    entropy.append(keys.astype(np.uint32))
-    with np.errstate(over="ignore"):
-        # SeedSequence.mix_entropy; the entropy is longer than the pool
-        hash_const = [_INIT_A]
-        pool = [_hashmix(w, hash_const) for w in entropy[:pool_size]]
-        for src in range(pool_size):
-            for dst in range(pool_size):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
-        for word in entropy[pool_size:]:
-            for dst in range(pool_size):
-                pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
-        # SeedSequence.generate_state(4, np.uint64): 8 words cycling the pool
-        hash_const = [_INIT_B]
-        state = [_hashmix(pool[i % pool_size], hash_const, _MULT_B).astype(np.uint64)
-                 for i in range(8)]
-    return np.stack([lo | hi << np.uint64(32)
-                     for lo, hi in zip(state[::2], state[1::2])], axis=1)
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Seed words computed ahead, handed to a bit generator as its seed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (len(self.words), np.uint64):
-            raise ValueError("seed words were computed for another request")
-        return self.words
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """numpy's PCG64 generator seeded with one row of `_child_states`."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-def _chunk_sizes(expected: np.ndarray) -> np.ndarray:
-    """Gaps drawn per chunk at these expected counts: six standard deviations
-    above the mean plus 16, and at least 64."""
-    return np.maximum(64, (expected + 6.0 * np.sqrt(expected) + 16).astype(np.int64))
-
-
-def _poisson_arrivals(seed_seq: np.random.SeedSequence, first: int, rates,
+def _poisson_arrivals(gen: np.random.Generator, rates,
                       horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times on [0, horizon] of independent Poisson processes.
 
-    Process i runs at rates[i] and draws from child first + i of `seed_seq`;
-    only a process with a positive rate builds its generator. It draws its
-    exponential gaps by the inverse CDF in chunks of a size set by its
-    expected count, and draws another chunk while its last time is at or
-    before the horizon. Processes of one chunk size share a 2-D array, one
-    row each, filled by their own generators: the gaps are elementwise and
-    the running sum is sequential along a row, so each row equals its
-    process drawn alone. Returns the times concatenated in process order and
-    each process's count.
+    Process i has a Poisson(rates[i] * horizon) count and, given its count
+    n, the sorted uniform times of n points. Those are drawn as the Renyi
+    representation: n + 1 exponential gaps (inverse CDF), whose first n
+    partial sums over their total are the uniform order statistics. One
+    draw and one running sum serve every process. Returns the times
+    concatenated in process order and each process's count.
     """
-    rates = np.asarray(rates, dtype=float)
-    live = np.flatnonzero(rates > 0.0)
-    chunks = _chunk_sizes(rates[live] * horizon)
-    states = _child_states(seed_seq, first + live)
-    counts = np.zeros(len(rates), dtype=np.int64)
-    parts = []      # (processes, their times one after the other)
-    for chunk in np.unique(chunks).tolist():
-        rows = live[chunks == chunk]
-        gens = [_generator(words) for words in states[chunks == chunk]]
-        gaps = np.empty((len(rows), chunk))
-        for gen, row in zip(gens, gaps):
-            gen.random(out=row)
-        times = np.cumsum(-np.log1p(-gaps) / rates[rows, None], axis=1)
-        keep = times <= horizon
-        over = times[:, -1] <= horizon
-        for j in np.flatnonzero(over).tolist():
-            t, rate = times[j], rates[rows[j]]
-            while t[-1] <= horizon:
-                more = t[-1] + np.cumsum(-np.log1p(-gens[j].random(chunk)) / rate)
-                t = np.concatenate([t, more])
-            t = t[t <= horizon]
-            parts.append((rows[j:j + 1], t))
-            counts[rows[j]] = len(t)
-            keep[j] = False
-        counts[rows[~over]] = keep[~over].sum(axis=1)
-        parts.append((rows[~over], times[keep]))
-    if len(parts) == 1:     # one part lists its processes in order
-        return parts[0][1], counts
-    # move each part's runs, held back to back, to their processes' offsets
-    start = np.cumsum(counts) - counts
-    out = np.empty(int(counts.sum()))
-    for rows, values in parts:
-        n_row = counts[rows]
-        shift = np.repeat(start[rows] - (np.cumsum(n_row) - n_row), n_row)
-        out[shift + np.arange(len(values))] = values
-    return out, counts
+    counts = gen.poisson(np.asarray(rates, dtype=float) * horizon)
+    sums = np.cumsum(-np.log1p(-gen.random(int(counts.sum()) + len(counts))))
+    ends = np.cumsum(counts + 1) - 1        # each process's extra gap
+    before = np.repeat(np.concatenate(([0.0], sums[ends[:-1]])), counts)
+    total = np.repeat(sums[ends], counts) - before
+    # the ratio is at most 1 after rounding, so no time passes the horizon
+    return (np.delete(sums, ends) - before) / total * horizon, counts
 
 
 def _fifo_served(arrivals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -277,7 +148,7 @@ class _RepResult:
     events: list | None
 
 
-def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence,
+def _run_replication(config: SimConfig, gen: np.random.Generator,
                      log_events: bool) -> _RepResult:
     params = config.params
     menu = config.menu
@@ -287,14 +158,11 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence,
     c_s = params.storage_cost_per_byte
     horizon = config.horizon
 
-    # child 0 draws the blocks, child 1 the winners and child 2 + 2u + c
-    # the arrivals of user u in class c (0 = high fee, 1 = low fee); every
-    # transaction is exactly the mean size
-    block_times, _ = _poisson_arrivals(seed_seq, 0, [mu], horizon)
+    # the blocks, then process 2u + c for the arrivals of user u in class c
+    # (0 = high fee, 1 = low fee); every transaction is exactly the mean size
+    block_times, _ = _poisson_arrivals(gen, [mu], horizon)
     n_blocks = len(block_times)
-    rates = np.array([(r.rate_high, r.rate_low) for r in config.user_rates()],
-                     dtype=float).ravel()
-    times, counts = _poisson_arrivals(seed_seq, 2, rates, horizon)
+    times, counts = _poisson_arrivals(gen, config.user_rates().ravel(), horizon)
     user, cls = np.divmod(np.repeat(np.arange(2 * n), counts), 2)
     by_time = np.argsort(times, kind="stable")   # ties in user order
 
@@ -367,9 +235,9 @@ def _run_replication(config: SimConfig, seed_seq: np.random.SeedSequence,
 
     events = None
     if log_events:
-        winner_gen = _generator(_child_states(seed_seq, [1])[0])
+        # drawn last, so that logging moves no other output
         power_cdf = np.cumsum(params.powers())
-        winners = np.searchsorted(power_cdf, winner_gen.random(n_blocks), side="right")
+        winners = np.searchsorted(power_cdf, gen.random(n_blocks), side="right")
         winners = np.minimum(winners, params.n_miners - 1)
         events = _event_log(block_times, winners, times, user, cls, served_tx,
                             (menu.rho_high, menu.rho_low))
@@ -543,7 +411,8 @@ def run(config: SimConfig) -> SimReport:
     """Run all replications and reduce to means with 95% intervals."""
     root = np.random.SeedSequence(config.seed)
     # only the first replication's event log is reported, so only it is built
-    reps = [_run_replication(config, child, config.log_events and i == 0)
+    reps = [_run_replication(config, np.random.default_rng(child),
+                             config.log_events and i == 0)
             for i, child in enumerate(root.spawn(config.replications))]
 
     n_h = config.params.n_users_high

@@ -112,11 +112,20 @@ def payoff(user_type, profile, wait, menu, tax, params):
     return result + inflow
 
 
-def child_seed_sequence(seed_seq, i):
-    """The i-th child `seed_seq.spawn` would return next, built alone: the
-    simulator's seeding before its child seed words were computed in one
-    batch."""
-    return np.random.SeedSequence(
-        seed_seq.entropy,
-        spawn_key=seed_seq.spawn_key + (seed_seq.n_children_spawned + i,),
-        pool_size=seed_seq.pool_size)
+def poisson_arrivals(seed_seq, rates, horizon):
+    """The simulator's arrival draw before every process came from one
+    generator: process i draws from its own PCG64 on child i of
+    `seed_seq.spawn`, its exponential gaps by the inverse CDF in chunks sized
+    by its expected count, until a time passes the horizon. Returns the
+    times concatenated in process order and each process's count."""
+    streams = []
+    for child, rate in zip(seed_seq.spawn(len(rates)), rates):
+        gen = np.random.Generator(np.random.PCG64(child))
+        expected = rate * horizon
+        chunk = max(64, int(expected + 6.0 * np.sqrt(expected) + 16))
+        times = np.zeros(1)
+        while rate > 0.0 and times[-1] <= horizon:
+            times = np.concatenate(
+                [times, times[-1] + np.cumsum(-np.log1p(-gen.random(chunk)) / rate)])
+        streams.append(times[1:][times[1:] <= horizon])
+    return np.concatenate(streams), np.array([len(t) for t in streams])

@@ -88,6 +88,15 @@ def test_rate_pair_feasibility():
         RatePair(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("rates", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0),
+                                   (0.0, math.inf), (-math.inf, 0.0)],
+                         ids=["nan_high", "nan_low", "inf_high", "inf_low", "minus_inf"])
+def test_rate_pair_rejects_non_finite(rates):
+    """A NaN rate would reach the simulator as a zero-rate stream."""
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        RatePair(*rates)
+
+
 def _config_text(p: SystemParams) -> str:
     """`p` in the flat `key = value` config format, floats by repr."""
     lines = [f"{f.name} = {getattr(p, f.name)!r}"

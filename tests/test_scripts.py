@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fwt.checks import check_lemma1, run_suite
+from fwt.checks import CheckResult, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.cli import main as fwt_main
 from fwt.model import SystemParams
@@ -43,16 +43,20 @@ def test_run_evaluation_sweeps_writes_sweep_rows(tmp_path, capsys, flags):
             assert fh.read() == buf.getvalue()
 
 
-@pytest.mark.parametrize("horizon", ["50", "20"], ids=["passing", "failing"])
-def test_validate_against_simulator_prints_lemma1_suite(capsys, horizon):
+@pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
+def test_validate_against_simulator_prints_lemma1_suite(capsys, monkeypatch, fail):
     """The script prints the Lemma-1 suite's lines for its arguments and
-    exits 0 exactly when that suite passes; at seed 0 and 2 replications
-    the suite passes at horizon 50 and fails at horizon 20."""
+    exits 0 exactly when that suite passes. The failing case replaces the
+    script's suite by a failed one, so its exit 1 does not rest on a chance
+    miss of the simulator."""
     script = _load_script("validate_against_simulator")
-    code = script.main(["--replications", "2", "--horizon", horizon, "--seed", "0"])
+    if fail:
+        failed = CheckResult(name="lemma1", passed=False,
+                             details=["BAD profile [H]: measured off"], duration_s=0.0)
+        monkeypatch.setattr(script, "check_lemma1", lambda **kw: failed)
+    code = script.main(["--replications", "2", "--horizon", "50", "--seed", "0"])
     lines = capsys.readouterr().out.splitlines()
-    suite = check_lemma1(replications=2, horizon=float(horizon), seed=0)
-    assert suite.passed == (horizon == "50")
+    suite = script.check_lemma1(replications=2, horizon=50.0, seed=0)
     assert lines[:len(suite.details)] == suite.details
     assert [line.split(":")[0] for line in lines[len(suite.details):]] == [
         "welfare", "payoff H", "payoff L"]

@@ -258,44 +258,27 @@ def test_fifo_served_matches_queue_with_ties(arrivals, blocks):
     assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist())
 
 
-# The arrival draw as the simulator made it before its streams were batched:
-# seed_seq.spawn(2 + 2N) (blocks, winners, then one per user and class), one
-# generator per stream and one chunked inverse-CDF draw per stream.
-def _reference_chunk(expected):
-    return max(64, int(expected + 6.0 * math.sqrt(expected) + 16))
+def _loop_arrivals(gen, rates, horizon):
+    """`_poisson_arrivals` one process at a time from the same draws: every
+    count first, then each process's gaps in turn. Returns the counts and
+    each process's running sums of its count + 1 gaps."""
+    counts = [int(gen.poisson(rate * horizon)) for rate in rates]
+    return counts, [np.cumsum(-np.log1p(-gen.random(n + 1))) for n in counts]
 
 
-def _reference_poisson(gen, rate, horizon, chunk_size):
-    if rate <= 0.0:
-        return np.empty(0)
-    chunk = chunk_size(rate * horizon)
-    times = np.cumsum(-np.log1p(-gen.random(chunk)) / rate)
-    while times[-1] <= horizon:
-        more = times[-1] + np.cumsum(-np.log1p(-gen.random(chunk)) / rate)
-        times = np.concatenate([times, more])
-    return times[times <= horizon]
-
-
-# A root seed sequence, and a spawned one like the replications `run` uses.
-_PARENTS = (np.random.SeedSequence,
-            lambda seed: np.random.SeedSequence(seed).spawn(3)[2])
-
-
-def _assert_streams_match(seed, rates, horizon, block_rate=15.0,
-                          chunk_size=_reference_chunk):
-    for parent in _PARENTS:
-        children = parent(seed).spawn(2 + len(rates))
-        gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
-        ref_blocks = _reference_poisson(gens[0], block_rate, horizon, chunk_size)
-        ref_streams = [_reference_poisson(gen, rate, horizon, chunk_size)
-                       for gen, rate in zip(gens[2:], rates)]
-        blocks, n_blocks = sim._poisson_arrivals(parent(seed), 0, [block_rate],
-                                                 horizon)
-        times, counts = sim._poisson_arrivals(parent(seed), 2, rates, horizon)
-        assert blocks.tolist() == ref_blocks.tolist()
-        assert n_blocks.tolist() == [len(ref_blocks)]
-        assert times.tolist() == np.concatenate(ref_streams).tolist()
-        assert counts.tolist() == [len(t) for t in ref_streams]
+def _assert_streams_match(seed, rates, horizon):
+    times, counts = sim._poisson_arrivals(np.random.default_rng(seed), rates, horizon)
+    ref_counts, sums = _loop_arrivals(np.random.default_rng(seed), rates, horizon)
+    assert counts.tolist() == ref_counts
+    assert np.all((times >= 0.0) & (times <= horizon))
+    # `_poisson_arrivals` runs one sum over all processes: each of a
+    # process's additions rounds at the scale of the grand total
+    total = sum(s[-1] for s in sums)
+    eps = np.finfo(float).eps
+    expected = np.concatenate([s[:-1] / s[-1] * horizon for s in sums])
+    tol = np.concatenate([np.full(len(s) - 1, 4 * len(s) * eps * total / s[-1] * horizon)
+                          for s in sums])
+    assert np.all(np.abs(times - expected) <= tol)
 
 
 @pytest.mark.parametrize("rates", [
@@ -304,20 +287,9 @@ def _assert_streams_match(seed, rates, horizon, block_rate=15.0,
     [0.5, 2.0],
     [0.0, 1.3],
     [1.3, 0.7],
-], ids=["all_zero", "mixed_zero", "two_chunk_sizes", "one_user_low_only", "one_user"])
+], ids=["all_zero", "mixed_zero", "unequal_rates", "one_user_low_only", "one_user"])
 def test_streams_match_per_stream_reference(rates):
     _assert_streams_match(5, rates, 100.0)
-
-
-@pytest.mark.parametrize("divisor", [1, 4], ids=["some_rows", "every_row_often"])
-def test_streams_match_reference_when_rows_overrun(monkeypatch, divisor):
-    """Chunks of about the expected count, or a quarter of it, make rows run
-    past their chunk and draw more from their own generators."""
-    monkeypatch.setattr(sim, "_chunk_sizes",
-                        lambda e: np.maximum(1, (e / divisor).astype(np.int64)))
-    for seed in range(4):
-        _assert_streams_match(seed, [1.0, 1.0, 0.0, 1.0, 2.5, 1.0], 60.0,
-                              chunk_size=lambda e: max(1, int(e / divisor)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,56 +301,67 @@ def test_streams_match_reference_on_random_rates(seed, rates, horizon):
     _assert_streams_match(seed, rates, horizon)
 
 
-_entropy = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
-            | st.integers(2**64, 2**128 - 1) | st.integers(2**128, 2**200)
-            | st.lists(st.integers(0, 2**70), min_size=1, max_size=6))
-_key_word = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70)
+# Two-sample tests of the one-generator draw against the per-stream
+# construction it replaced (`reference.poisson_arrivals`), at fixed seeds.
+# Each test holds its comparisons to a total level of 0.001 (Bonferroni), so
+# a draw with the reference's law fails it at no more than 0.1% of seeds.
+_LEVEL = 0.001
 
 
-# numpy's spawn counts its children in 32 bits: a parent that has spawned
-# 2**32 - 1 children runs out of memory on the next spawn, so the positions
-# drawn through spawn stop at 2**32 - 2.
-@settings(max_examples=300, deadline=None)
-@given(entropy=_entropy, spawn_key=st.lists(_key_word, max_size=3).map(tuple),
-       pool_size=st.sampled_from([4, 5, 8]), spawned=st.integers(0, 2**32 - 2),
-       data=st.data())
-def test_child_states_equal_spawned_children(entropy, spawn_key, pool_size, spawned,
-                                              data):
-    """Each row is the seed state of the child numpy's spawn returns at that
-    position, for root and spawned parents and single-word child indices."""
-    children = data.draw(st.lists(st.integers(0, 2**32 - 2 - spawned), min_size=1,
-                                  max_size=5))
+def test_arrival_counts_and_times_equal_reference_in_law():
+    """Per process: the count's mean (an exact test: given the two sides'
+    total, one side's Poisson total is binomial) and its distribution, and
+    the distribution of the arrival times (two-sample Kolmogorov-Smirnov). A
+    zero-rate process draws nothing on either side."""
+    rates, horizon, samples = [0.0, 0.3, 1.0, 4.0], 500.0, 200
 
-    def parent(n_children_spawned):
-        return np.random.SeedSequence(entropy, spawn_key=spawn_key,
-                                      pool_size=pool_size,
-                                      n_children_spawned=n_children_spawned)
+    def per_process(draws):
+        counts = np.array([c for _, c in draws])
+        times = [np.concatenate([np.split(t, np.cumsum(c)[:-1])[i] for t, c in draws])
+                 for i in range(len(rates))]
+        return counts, times
 
-    states = sim._child_states(parent(spawned), children)
-    assert states.dtype == np.uint64 and states.shape == (len(children), 4)
-    for row, i in zip(states, children):
-        child = parent(spawned + i).spawn(1)[0]
-        assert row.tolist() == child.generate_state(4, np.uint64).tolist()
-
-
-@pytest.mark.parametrize("spawned, child", [(0, 2**32 - 1), (7, 2**32 - 8)])
-def test_child_states_at_last_single_word_index(spawned, child):
-    parent = np.random.SeedSequence(2**70 + 3, spawn_key=(2**40, 4),
-                                    n_children_spawned=spawned)
-    expected = reference.child_seed_sequence(parent, child).generate_state(4, np.uint64)
-    assert sim._child_states(parent, [child]).tolist() == [expected.tolist()]
+    new = per_process([sim._poisson_arrivals(np.random.default_rng(child), rates, horizon)
+                       for child in np.random.SeedSequence(1).spawn(samples)])
+    ref = per_process([reference.poisson_arrivals(child, rates, horizon)
+                       for child in np.random.SeedSequence(2).spawn(samples)])
+    assert not new[0][:, 0].any() and not ref[0][:, 0].any()
+    p_values = {}
+    for i in range(1, len(rates)):
+        k, m = int(new[0][:, i].sum()), int(ref[0][:, i].sum())
+        p_values[i, "count mean"] = stats.binomtest(k, k + m, 0.5).pvalue
+        p_values[i, "count law"] = stats.ks_2samp(new[0][:, i], ref[0][:, i]).pvalue
+        p_values[i, "times"] = stats.ks_2samp(new[1][i], ref[1][i]).pvalue
+    assert min(p_values.values()) > _LEVEL / len(p_values), p_values
 
 
-@pytest.mark.parametrize("spawned, child", [(0, 2**32), (1, 2**32 - 1), (0, -1)])
-def test_child_states_reject_multiword_child_index(spawned, child):
-    parent = np.random.SeedSequence(1, n_children_spawned=spawned)
-    with pytest.raises(ValueError, match=r"child indices must lie in \[0, 2\*\*32\)"):
-        sim._child_states(parent, [0, child])
+def test_type_waits_equal_reference_in_law(monkeypatch):
+    """Per-replication mean waits of each type on a Lemma-1 profile with
+    both types in both classes (Welch's t-test)."""
+    _, params, menu, profile = lemma1_profiles()[3]
+    cfg = SimConfig(params=params, menu=menu, tax=TaxVector.zero(), profile=profile,
+                    horizon=1000.0)
+    n_h, samples = params.n_users_high, 100
+
+    def type_waits(gen):
+        wait = sim._run_replication(cfg, gen, False).wait_rate
+        return wait[:n_h].mean(), wait[n_h:].mean()
+
+    new = np.array([type_waits(np.random.default_rng(child))
+                    for child in np.random.SeedSequence(3).spawn(samples)])
+    root = np.random.SeedSequence(4)
+    monkeypatch.setattr(sim, "_poisson_arrivals", lambda gen, rates, horizon:
+                        reference.poisson_arrivals(root.spawn(1)[0], rates, horizon))
+    ref = np.array([type_waits(None) for _ in range(samples)])
+    p_values = [stats.ttest_ind(new[:, t], ref[:, t], equal_var=False).pvalue
+                for t in range(2)]
+    assert min(p_values) > _LEVEL / len(p_values), p_values
 
 
 def test_event_log_from_first_replication_only(monkeypatch):
     """Only the first replication's log is reported, so only it is built;
-    spawn gives the same first child whatever the replication count."""
+    spawn gives the same first child whatever the replication count, and
+    the winners are that replication's last draws."""
     prof = StrategyProfile(RatePair(1.0, 0.5), RatePair(0.5, 1.0))
     tax = TaxVector(1e-5, -2e-6, 3e-6, 4e-5)
     built = []
@@ -392,10 +375,14 @@ def test_event_log_from_first_replication_only(monkeypatch):
     assert (json.dumps(logged.to_json_dict(), allow_nan=True)
             == json.dumps(plain.to_json_dict(), allow_nan=True))
     assert logged.events == one.events
-    # the winners come from child 1 of the first replication's seed
+    # the first replication's generator draws the blocks, the arrivals, and
+    # then the winners
+    cfg = config(prof)
+    gen = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    blocks, _ = sim._poisson_arrivals(gen, [TWO_USERS.block_rate], cfg.horizon)
+    sim._poisson_arrivals(gen, cfg.user_rates().ravel(), cfg.horizon)
     winners = [ev[6] for ev in one.events if ev[1] in ("block", "include")]
-    first = np.random.SeedSequence(11).spawn(1)[0]
-    gen = np.random.Generator(np.random.PCG64(first.spawn(2)[1]))
+    assert len(winners) == len(blocks)
     power_cdf = np.cumsum(TWO_USERS.powers())
     expected = np.searchsorted(power_cdf, gen.random(len(winners)), side="right")
     assert winners == np.minimum(expected, TWO_USERS.n_miners - 1).tolist()
