@@ -314,7 +314,8 @@ def check_prop2(grid_points: int = 50, seed: int = 0,
             oracle = unconstrained_optimum_oracle(params, grid_points=grid_points)
             gap = abs(w3 - oracle.welfare)
             scale = max(abs(w3), abs(oracle.welfare))
-            ok = gap <= rel_tol * scale or scale < 1e-15
+            # a NaN oracle welfare fails too, also at a draw whose theorem welfare is 0
+            ok = math.isfinite(gap) and (gap <= rel_tol * scale or scale < 1e-15)
             passed += ok
             details.append(
                 f"{'ok ' if ok else 'BAD'} draw {i} case {mech.case}: "

@@ -160,7 +160,7 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 p = replace(params, utility_high=float(value),
                             utility_low=float(value) / 2.0)
             elif axis == "n_users":
-                half = max(1, int(round(value / 2.0)))
+                half = int(round(value / 2.0))
                 p = replace(params, n_users_high=half, n_users_low=half)
             elif axis == "cost_ratio":
                 hetero = HeteroCostParams(

@@ -4,8 +4,8 @@ The designer maximizes social welfare subject to every generating user's
 average fee-per-byte covering the system-wide storage cost per byte. The
 closed-form optimum has two cases keyed on whether the high type's on-chain
 utility clears total storage plus baseline waiting cost; a brute-force grid
-search over menus and tax row sums (without the sufficient-fee constraint)
-serves as the optimality oracle.
+search over one shared fee and the tax row sums (without the sufficient-fee
+constraint) serves as the optimality oracle.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .model import (FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector,
                     require_valid)
 from .queue import by_role, split_roles, welfare_rate
-from .user_game import SneOutcome, _at_fee, sne_select, user_payoff
+from .user_game import SneOutcome, _rates_at, sne_select, user_payoff
 
 __all__ = [
     "Mechanism",
@@ -254,10 +254,11 @@ def social_welfare(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best grid point of the tax-row-sum welfare search."""
+    """Best grid point of the fee and tax-row-sum welfare search: the fee
+    everyone uses, the row sums and the per-user rates there."""
 
     welfare: float
-    menu: FeeMenu
+    fee: float
     q_high: float
     q_low: float
     rate_high_type: float
@@ -266,33 +267,25 @@ class OracleResult:
 
 def unconstrained_optimum_oracle(params: SystemParams,
                                  grid_points: int = 50) -> OracleResult:
-    """Grid-maximize welfare over menus and tax row sums, ignoring the
+    """Grid-maximize welfare over one fee and the tax row sums, ignoring the
     sufficient-fee constraint.
 
-    Welfare depends on the tax vector only through the two row sums, so the
-    search space is four-dimensional: both fees on [0, 1.5*R_H/sbar] and
-    both row sums on [-R_H, R_H]. A menu is a pair fee[i] > fee[j] of the
-    ascending fee axis.
+    Welfare depends on the tax vector only through the two row sums, and
+    the selected equilibrium of any menu puts everyone at one fee, so no
+    menu beats the best "everyone uses fee f" point: the search is over a
+    fee on [0, 1.5*R_H/sbar] and both row sums on [-R_H, R_H]. When C_s > 0
+    the fee 0 is refused, so menu (f, 0) realises that point; at C_s = 0
+    it bounds every menu's welfare from above.
 
-    The search makes one Stage-II solve per fee, not per menu. At each
-    row-sum cell the selected equilibrium puts everyone at one fee, so the
-    cell's welfare is that of "everyone uses fee f", and everyone uses rho_H
-    exactly when the high-fee attractiveness delta at the rho_L rates
-    exceeds sbar*rho_H. Two tables over the fee axis, both from
-    `user_game._at_fee`, therefore carry the search: W[f], the welfare when
-    everyone uses fee f, and D[f], that delta. Menu (i, j) has welfare
-    where(D[j] > sbar*fee[i], W[i], W[j]); a refused rho_H gives the zero
-    welfare of a refused rho_L. The tables hold the same arrays a per-menu
-    solve computes and every selection is elementwise, so each menu's
-    welfare is bitwise that of solving it on its own.
-
-    The winner is the first maximum in (i, j, cell) order; a menu whose
-    welfare holds a NaN is skipped, as its argmax lands on the NaN.
+    The table W[f, cell] holds the welfare when everyone uses fee f, with
+    zero rates at a refused fee. The winner is the first maximum in
+    (fee, cell) order, so a NaN cell becomes the welfare and surfaces in
+    the caller's check.
     """
     require_valid(params)
     if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2 (a menu needs two fees), "
-                         f"got {grid_points}")
+        raise ValueError(f"grid_points must be at least 2 (a one-point fee axis "
+                         f"holds only fee 0), got {grid_points}")
     r_h, r_l = params.utility_high, params.utility_low
     sbar = params.mean_tx_size
 
@@ -303,33 +296,19 @@ def unconstrained_optimum_oracle(params: SystemParams,
         (r_h - qh).ravel(), (r_l - ql).ravel(), params.n_users_high, params.n_users_low)
 
     welfare = np.empty((grid_points, h_b.size))
-    delta = np.empty((grid_points, h_b.size))
     for f, fee in enumerate(fee_grid.tolist()):
-        pi_b, pi_s, delta[f] = _at_fee(h_b, h_s, fee, n_b, n_s, params)
+        pi_b, pi_s = _rates_at(h_b, h_s, fee, n_b, n_s, params)
         lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
         welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
 
-    best_w = -math.inf
-    best = None
-    for i in range(1, grid_points):
-        # rows j < i: the welfare of menu (fee[i], fee[j]) at every cell
-        block = np.where(delta[:i] > sbar * fee_grid[i], welfare[i], welfare[:i])
-        k = block.argmax(axis=1)
-        w = block[np.arange(i), k]
-        j = int(np.argmax(np.where(np.isnan(w), -np.inf, w)))
-        if w[j] > best_w:
-            best_w = float(w[j])
-            best = (i, j, int(k[j]))
-    assert best is not None
-    i, j, k = best
-    used = i if delta[j, k] > sbar * fee_grid[i] else j
+    f, k = np.unravel_index(int(np.argmax(welfare)), welfare.shape)
     cell = slice(k, k + 1)
-    pi_b, pi_s, _ = _at_fee(h_b[cell], h_s[cell], float(fee_grid[used]), n_b[cell],
-                            n_s[cell], params)
+    pi_b, pi_s = _rates_at(h_b[cell], h_s[cell], float(fee_grid[f]), n_b[cell],
+                           n_s[cell], params)
     lam_h, lam_l = by_role(b_is_high[k], pi_b[0], pi_s[0])
     return OracleResult(
-        welfare=best_w,
-        menu=FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j])),
+        welfare=float(welfare[f, k]),
+        fee=float(fee_grid[f]),
         q_high=float(qh.flat[k]),
         q_low=float(ql.flat[k]),
         rate_high_type=float(lam_h),

@@ -79,7 +79,7 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
     """Equilibrium per-user rates (pi_B, pi_S) at a single active fee.
 
     Three branches: nobody generates, only type B generates, both types
-    generate. Scalar or array inputs for h_b/h_s/n_b/n_s.
+    generate. Scalar or array inputs for h_b/h_s/n_b/n_s; array outputs.
     """
     gamma = params.impatience
     mu = params.block_rate
@@ -88,7 +88,6 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
     h_s = np.asarray(h_s, dtype=float)
     n_b = np.asarray(n_b, dtype=float)
     n_s = np.asarray(n_s, dtype=float)
-    scalar = h_b.ndim == 0 and h_s.ndim == 0
 
     s_rho = sbar * rho
     cap = mu / (n_b + n_s)
@@ -99,8 +98,6 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
         # waiting is costless: users with positive margin generate at the cap
         pi_b = np.where(margin_b > 0, cap, 0.0)
         pi_s = np.where(margin_s > 0, cap, 0.0)
-        if scalar:
-            return float(pi_b), float(pi_s)
         return pi_b, pi_s
 
     cond_none = h_b <= s_rho + gamma / mu
@@ -128,8 +125,6 @@ def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
         pi_s = np.where(cond_both, pi_s_both, 0.0)
         pi_s = np.maximum(pi_s, 0.0)
 
-    if scalar:
-        return float(pi_b), float(pi_s)
     return pi_b, pi_s
 
 
@@ -161,22 +156,15 @@ def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams)
     return np.maximum(term_b, term_s)
 
 
-def _at_fee(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
-    """Per-user rates (pi_B, pi_S) and high-fee attractiveness delta when
-    everyone uses this fee; array-capable.
+def _rates_at(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
+    """Per-user rates (pi_B, pi_S) when everyone uses this fee; array-capable.
 
-    A fee below C_s is never included, so it supports no generation: zero
-    rates and delta = +inf, so that a refused low fee defers to any higher
-    fee. When gamma = 0 waiting is free and nobody pays a higher fee:
-    delta = -inf.
+    A fee below C_s is never included, so it supports no generation.
     """
     if fee < params.storage_cost_per_byte:
         zeros = np.zeros(h_b.shape)
-        return zeros, zeros, np.full(h_b.shape, np.inf)
-    pi_b, pi_s = _pi_rates(h_b, h_s, fee, n_b, n_s, params)
-    if params.impatience == 0.0:
-        return pi_b, pi_s, np.full(h_b.shape, -np.inf)
-    return pi_b, pi_s, _delta(h_b, h_s, pi_b, pi_s, fee, n_b, n_s, params)
+        return zeros, zeros
+    return _pi_rates(h_b, h_s, fee, n_b, n_s, params)
 
 
 # --- equilibrium selection ---------------------------------------------------
@@ -215,17 +203,22 @@ def sne_select(menu: FeeMenu, tax: TaxVector, params: SystemParams) -> SneOutcom
     beats the extra fee, low-fee SNE otherwise; payoffs use the waits here.
 
     Everyone sends at one fee, `fee_used`: rho_H exactly when it is
-    accepted and the high-fee attractiveness delta at the rho_L rates
-    exceeds sbar*rho_H. A refused rho_L gets zero rates from `_at_fee`, so
-    any positive rate sits at an accepted fee.
+    accepted and either rho_L is refused or, with waiting costly, the
+    high-fee attractiveness delta at the rho_L rates exceeds sbar*rho_H. A
+    refused rho_L gets zero rates from `_rates_at`, so any positive rate
+    sits at an accepted fee.
     """
     q_h, q_l = tax.row_sums(params)
     b_is_high, h_b, h_s, n_b, n_s = split_roles(params.utility_high - q_h,
                                                 params.utility_low - q_l,
                                                 params.n_users_high, params.n_users_low)
-    pi_b, pi_s, delta = _at_fee(h_b, h_s, menu.rho_low, n_b, n_s, params)
-    high = (menu.rho_high >= params.storage_cost_per_byte
-            and bool(delta > params.mean_tx_size * menu.rho_high))
+    c_s = params.storage_cost_per_byte
+    pi_b, pi_s = _rates_at(h_b, h_s, menu.rho_low, n_b, n_s, params)
+    high = menu.rho_high >= c_s and (
+        menu.rho_low < c_s
+        or (params.impatience > 0.0
+            and bool(_delta(h_b, h_s, pi_b, pi_s, menu.rho_low, n_b, n_s, params)
+                     > params.mean_tx_size * menu.rho_high)))
     if high:
         pi_b, pi_s = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
     lam_h, lam_l = (float(x) for x in by_role(b_is_high, pi_b, pi_s))

@@ -3,15 +3,19 @@
 Each function is program code as it stood before a simplification, so a
 test can assert that the simplified code gives the same numbers.
 """
+import math
+
 import numpy as np
 
 import fwt.user_game as user_game
+from fwt.mechanism import OracleResult
+from fwt.model import FeeMenu
 from fwt.queue import by_role, split_roles
 
 
 def stage2_rates_core(h_high, h_low, menu, params):
-    """The Stage-II choice as written before the per-fee solve moved to
-    `_at_fee`: per-type rates and the use-rho_H flag, array-capable.
+    """The Stage-II choice as written before `sne_select` solved one fee at
+    a time: per-type rates and the use-rho_H flag, array-capable.
 
     `_pi_rates` and `_delta` are looked up on `fwt.user_game` at call time,
     so a test that patches them there patches this reference too.
@@ -45,6 +49,48 @@ def stage2_rates_core(h_high, h_low, menu, params):
 
     lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
     return lam_h, lam_l, use_high
+
+
+def pair_loop_oracle(params, grid_points):
+    """The welfare grid oracle as a search over fee pairs: one Stage-II
+    solve per menu fee[i] > fee[j] of the ascending fee axis, the first
+    maximum in (i, j, cell) order, menus whose welfare holds a NaN skipped.
+
+    Returns the winner as an `OracleResult` whose `fee` is the fee the
+    winning menu's equilibrium uses at the winning cell.
+    """
+    r_h, r_l = params.utility_high, params.utility_low
+    mu, gamma, sbar = params.block_rate, params.impatience, params.mean_tx_size
+    n_h, n_l = params.n_users_high, params.n_users_low
+    scb = params.system_storage_per_byte
+    fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
+    q_grid = np.linspace(-r_h, r_h, grid_points)
+    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
+    margin_h = r_h - scb * sbar
+    margin_l = r_l - scb * sbar
+    best_w, best = -math.inf, None
+    for i in range(1, grid_points):
+        for j in range(i):
+            menu = FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j]))
+            lam_h, lam_l, use_high = stage2_rates_core(r_h - qh, r_l - ql, menu, params)
+            lam = n_h * lam_h + n_l * lam_l
+            if gamma == 0.0:
+                wait_cost = 0.0
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
+            welfare = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
+            k = int(np.argmax(welfare))
+            w = float(welfare.flat[k])
+            if w > best_w:
+                best_w = w
+                fee = menu.rho_high if use_high.flat[k] else menu.rho_low
+                best = OracleResult(
+                    welfare=w, fee=fee,
+                    q_high=float(qh.flat[k]), q_low=float(ql.flat[k]),
+                    rate_high_type=float(np.asarray(lam_h).flat[k]),
+                    rate_low_type=float(np.asarray(lam_l).flat[k]))
+    return best
 
 
 def sufficient_fee_check(outcome, menu, params):

@@ -42,6 +42,16 @@ def test_sweep_jain_equals_list_form(n_users):
         assert row[f"{prefix}_jain"] == jain_index(payoffs)
 
 
+@pytest.mark.parametrize("n_users", [0, 1])
+def test_sweep_n_users_below_two_is_an_error_row(n_users):
+    """A point that leaves a type without users lands in `error` under its
+    own label; it is not solved at N = 2."""
+    (row,) = sweep_rows(SystemParams(), "n_users", n_users, n_users, 1)
+    assert row["value"] == n_users
+    assert "n_users_high must be >= 1" in row["error"]
+    assert "fwt_welfare" not in row
+
+
 SOLVE_AND_SWEEP = pytest.mark.parametrize(
     "argv", [["solve"], ["sweep", "--axis", "gamma", "--steps", "2"]], ids=["solve", "sweep"])
 

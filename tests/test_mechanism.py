@@ -3,12 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fwt.checks import criterion_grid, prop2_draws
+from fwt.checks import check_prop2, criterion_grid, prop2_draws
 from fwt.mechanism import (
-    OracleResult,
     _case2,
     induced_outcome,
     optimal_mechanism,
@@ -337,42 +336,6 @@ def test_oracle_zero_for_no_generation_params(table_params):
     assert oracle.welfare == 0.0
 
 
-def _pair_loop_oracle(params, grid_points):
-    """The oracle as it was before the per-fee factoring: one Stage-II
-    solve per fee pair, kept as the reference for bitwise agreement."""
-    r_h, r_l = params.utility_high, params.utility_low
-    mu, gamma, sbar = params.block_rate, params.impatience, params.mean_tx_size
-    n_h, n_l = params.n_users_high, params.n_users_low
-    scb = params.system_storage_per_byte
-    fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
-    q_grid = np.linspace(-r_h, r_h, grid_points)
-    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
-    margin_h = r_h - scb * sbar
-    margin_l = r_l - scb * sbar
-    best_w, best = -math.inf, None
-    for i in range(1, grid_points):
-        for j in range(i):
-            menu = FeeMenu(rho_high=float(fee_grid[i]), rho_low=float(fee_grid[j]))
-            lam_h, lam_l, _ = reference.stage2_rates_core(r_h - qh, r_l - ql, menu, params)
-            lam = n_h * lam_h + n_l * lam_l
-            if gamma == 0.0:
-                wait_cost = 0.0
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    wait_cost = gamma * np.where(lam > 0, lam / (mu - lam), 0.0)
-            welfare = n_h * lam_h * margin_h + n_l * lam_l * margin_l - wait_cost
-            k = int(np.argmax(welfare))
-            w = float(welfare.flat[k])
-            if w > best_w:
-                best_w = w
-                best = OracleResult(
-                    welfare=w, menu=menu,
-                    q_high=float(qh.flat[k]), q_low=float(ql.flat[k]),
-                    rate_high_type=float(np.asarray(lam_h).flat[k]),
-                    rate_low_type=float(np.asarray(lam_l).flat[k]))
-    return best
-
-
 def _oracle_reference_cases():
     defaults = SystemParams()
     cases = [(f"prop2 draw {d}", p) for d, p in enumerate(prop2_draws(17))]
@@ -387,40 +350,106 @@ def _oracle_reference_cases():
     return cases
 
 
+def _assert_matches_pair_loop(p, grid_points, label):
+    """With C_s > 0 the one-fee oracle's welfare is the pair search's, and
+    where that welfare is positive so are its fee, cell and rates."""
+    assert p.storage_cost_per_byte > 0.0, label
+    result = unconstrained_optimum_oracle(p, grid_points)
+    ref = reference.pair_loop_oracle(p, grid_points)
+    assert result.welfare == ref.welfare, label
+    if ref.welfare > 0.0:
+        assert result == ref, label
+
+
 @pytest.mark.parametrize("grid_points", [12, 25])
 def test_oracle_bitwise_matches_pair_loop(grid_points):
     for label, p in _oracle_reference_cases():
-        assert (unconstrained_optimum_oracle(p, grid_points)
-                == _pair_loop_oracle(p, grid_points)), label
+        _assert_matches_pair_loop(p, grid_points, label)
 
 
 def test_oracle_bitwise_matches_pair_loop_at_default_grid():
     cases = dict(_oracle_reference_cases())
     for label in ("prop2 draw 9", "no generation", "refused high fees"):
-        p = cases[label]
-        assert unconstrained_optimum_oracle(p) == _pair_loop_oracle(p, 50), label
+        _assert_matches_pair_loop(cases[label], 50, label)
 
 
-def test_oracle_skips_menus_with_nan_welfare(monkeypatch, table_params):
-    """A NaN rate poisons every menu whose welfare row uses it; those menus
-    are skipped in both implementations, and the winner moves."""
+# the evaluation defaults, as the hypothesis test's arguments
+_DEFAULT_POINT = dict(counts=(100, 100), n_miners=10_000, mu=15.0, gamma=5e-5, sbar=150.0,
+                      c_s=5e-10, r_low=9e-4, r_spread=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
+    n_miners=st.integers(1, 50),
+    mu=st.floats(0.1, 100.0),
+    gamma=st.floats(0.0, 1e-2),
+    sbar=st.floats(1.0, 1e4),
+    c_s=st.floats(0.0, 1e-6),
+    # the reference's menus need distinct fees, so R_H stays well above 0
+    r_low=st.floats(1e-7, 1e-2),
+    r_spread=st.floats(1.0, 10.0),
+)
+@example(**{**_DEFAULT_POINT, "c_s": 0.0})
+@example(**{**_DEFAULT_POINT, "gamma": 0.0})
+@example(**{**_DEFAULT_POINT, "c_s": 0.0, "gamma": 0.0})
+def test_oracle_bounds_pair_loop_on_valid_params(counts, n_miners, mu, gamma, sbar, c_s,
+                                                 r_low, r_spread):
+    """No menu of the grid beats the one-fee oracle, and when C_s > 0 the
+    fee-0 menus reach it exactly."""
+    p = SystemParams(n_users_high=counts[0], n_users_low=counts[1], n_miners=n_miners,
+                     block_rate=mu, impatience=gamma, mean_tx_size=sbar,
+                     storage_cost_per_byte=c_s, utility_high=r_low * r_spread,
+                     utility_low=r_low)
+    result = unconstrained_optimum_oracle(p, 6)
+    ref = reference.pair_loop_oracle(p, 6)
+    assert result.welfare >= ref.welfare
+    if c_s > 0.0:
+        assert result.welfare == ref.welfare
+
+
+def test_oracle_optimum_is_realised_by_a_fee_zero_menu():
+    """The winner is an outcome, not only a table entry: menu (fee, 0) with
+    the winning row sums split evenly selects an equilibrium whose social
+    welfare is the oracle's."""
+    points = _oracle_reference_cases() + [
+        (f"certify draw {d}", p) for d, p in enumerate(prop2_draws(1, 12, 13))]
+    realised = 0
+    for label, p in points:
+        result = unconstrained_optimum_oracle(p, 25)
+        if result.welfare <= 0.0:
+            continue
+        menu = FeeMenu(rho_high=result.fee, rho_low=0.0)
+        per_h = result.q_high / (p.n_users - 1)
+        per_l = result.q_low / (p.n_users - 1)
+        tax = TaxVector(p_hh=per_h, p_hl=per_h, p_lh=per_l, p_ll=per_l)
+        out = sne_select(menu, tax, p)
+        assert out.fee_used == result.fee, label
+        total = social_welfare(out, menu, tax, p).total
+        assert abs(total - result.welfare) <= 1e-12 * result.welfare, label
+        realised += 1
+    assert realised >= 15
+
+
+def test_oracle_nan_cell_fails_prop2(monkeypatch):
+    """A NaN welfare cell is not skipped: it becomes the oracle's welfare,
+    and the Proposition-2 check reports every draw BAD."""
     import fwt.user_game as user_game_mod
 
-    clean = unconstrained_optimum_oracle(table_params, 12)
     real_pi_rates = user_game_mod._pi_rates
 
     def poisoned(h_b, h_s, rho, n_b, n_s, params):
         pi_b, pi_s = real_pi_rates(h_b, h_s, rho, n_b, n_s, params)
-        if rho == clean.menu.rho_high:
-            pi_b = np.array(pi_b)
-            pi_b.flat[-1] = math.nan  # the last row-sum cell
+        if pi_b.size > 1:  # the oracle's table, not one sne_select point
+            pi_b = pi_b.copy()
+            pi_b[-1] = math.nan  # the last row-sum cell
         return pi_b, pi_s
 
     monkeypatch.setattr(user_game_mod, "_pi_rates", poisoned)
-    result = unconstrained_optimum_oracle(table_params, 12)
-    assert result == _pair_loop_oracle(table_params, 12)
-    assert result.menu != clean.menu
-    assert math.isfinite(result.welfare)
+    assert math.isnan(unconstrained_optimum_oracle(SystemParams(), 12).welfare)
+    result = check_prop2(grid_points=12, seed=17)
+    assert not result.passed
+    assert sum(d.startswith("BAD") for d in result.details) == 10
 
 
 def test_oracle_certifies_case2_on_finer_grid():
