@@ -29,7 +29,6 @@ from .user_game import best_response_check, sne_select, waiting_rate
 __all__ = [
     "CheckResult",
     "jain_index",
-    "per_user_payoffs",
     "check_miner_ne",
     "check_user_ne",
     "Lemma1Result",
@@ -45,21 +44,19 @@ __all__ = [
 TABLE_DEFAULTS = SystemParams()
 
 
-def per_user_payoffs(payoff_high, payoff_low, n_high: int, n_low: int) -> np.ndarray:
-    """The payoff of every user: n_high copies of payoff_high, then n_low of
-    payoff_low."""
-    return np.repeat([payoff_high, payoff_low], [n_high, n_low])
-
-
-def jain_index(payoffs) -> float:
-    """Fairness index (sum u)^2 / (N * sum u^2); NaN when all payoffs are 0."""
-    u = np.asarray(payoffs, dtype=float)
-    if u.size == 0:
-        raise ValueError("jain_index needs a nonempty payoff vector")
-    denom = u.size * float(np.sum(u * u))
+def jain_index(payoffs, counts) -> float:
+    """Jain's fairness index (sum u)^2 / (N sum u^2) of N users, counts[i] of
+    whom get payoffs[i]; NaN when every payoff is 0. It is computed as
+    1 - sum_{i<j} c_i c_j (u_i - u_j)^2 / (N sum c u^2) (Lagrange's
+    identity), so rounding cannot take it above 1."""
+    if len(payoffs) == 0 or len(payoffs) != len(counts):
+        raise ValueError("jain_index needs one user count per payoff, and a payoff")
+    denom = sum(counts) * sum(c * u * u for u, c in zip(payoffs, counts))
     if denom == 0.0:
         return math.nan
-    return float(np.sum(u)) ** 2 / denom
+    spread = sum(counts[i] * counts[j] * (payoffs[i] - payoffs[j]) ** 2
+                 for i in range(len(payoffs)) for j in range(i))
+    return 1.0 - spread / denom
 
 
 @dataclass
@@ -355,8 +352,8 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
         for params in grid:
             mech = optimal_mechanism(params, tax_split="fairness")
             outcome = induced_outcome(mech, params)
-            j = jain_index(per_user_payoffs(outcome.payoff_high, outcome.payoff_low,
-                                            params.n_users_high, params.n_users_low))
+            j = jain_index((outcome.payoff_high, outcome.payoff_low),
+                           (params.n_users_high, params.n_users_low))
             if math.isnan(j):
                 if outcome.payoff_high == outcome.payoff_low == 0.0:
                     degenerate += 1

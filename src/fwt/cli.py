@@ -14,13 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import existing_equilibrium
-from .checks import SUITES, jain_index, per_user_payoffs, run_suite
+from .checks import SUITES, jain_index, run_suite
 from .mechanism import (
     induced_outcome,
     optimal_mechanism,
@@ -36,7 +36,7 @@ from .model import (
     validate_params,
 )
 from .queue import InvariantError
-from .sim import SimConfig, event_log_to_csv, run as run_sim
+from .sim import SimConfig, run as run_sim
 
 __all__ = ["main", "jain_index"]
 
@@ -82,6 +82,15 @@ def _parse_hetero(spec: str, params: SystemParams) -> HeteroCostParams:
     return HeteroCostParams(cost_low=cost_low, cost_high=float(value) * cost_low)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """Every CSV output: the header line, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(payload: str, out: str | None):
     if out:
         Path(out).write_text(payload)
@@ -105,15 +114,37 @@ def _solve_point(params: SystemParams, tax_split: str,
     return mech, p_eff, outcome, welfare, avg_fee, fee_ok
 
 
+def _outcome_doc(outcome) -> dict:
+    """The selected equilibrium, nested per type `H` and `L`."""
+    profile = outcome.profile
+    return {
+        "sne_kind": outcome.sne_kind.value,
+        "fee_used": outcome.fee_used,
+        "rates": {"H": asdict(profile.rates_high_type), "L": asdict(profile.rates_low_type)},
+        "waiting_rate": {"H": outcome.waiting_rate_high, "L": outcome.waiting_rate_low},
+        "payoff": {"H": outcome.payoff_high, "L": outcome.payoff_low},
+    }
+
+
 def cmd_solve(args) -> int:
     params = _load_params(args)
     hetero = _parse_hetero(args.hetero, params) if args.hetero else None
     mech, p_eff, outcome, welfare, avg_fee, fee_ok = _solve_point(
         params, args.tax_split, hetero)
+    taxes = {name.upper(): value for name, value in asdict(mech.tax).items()}  # P_HH, ...
     doc = {
-        "mechanism": mech.to_json_dict(),
-        "outcome": outcome.to_json_dict(),
-        "welfare": welfare.to_json_dict(),
+        "mechanism": {
+            "rho_high": mech.menu.rho_high,
+            "rho_low": mech.menu.rho_low,
+            **taxes,
+            "q_H": mech.q_high,
+            "q_L": mech.q_low,
+            "case": mech.case,
+            # negative entries are subsidies; legal, but worth surfacing
+            "negative_entries": any(e < 0 for e in taxes.values()),
+        },
+        "outcome": _outcome_doc(outcome),
+        "welfare": asdict(welfare),
         "sufficient_fee": {
             "avg_fee_per_byte": avg_fee,
             "bound": p_eff.system_storage_per_byte,
@@ -177,9 +208,7 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
             existing = existing_equilibrium(
                 p, system_cost_per_byte=bound if hetero is not None else None)
 
-            n_h, n_l = p_eff.n_users_high, p_eff.n_users_low
-            fwt_payoffs = per_user_payoffs(outcome.payoff_high, outcome.payoff_low, n_h, n_l)
-            ex_payoffs = per_user_payoffs(existing.payoff_high, existing.payoff_low, n_h, n_l)
+            counts = (p_eff.n_users_high, p_eff.n_users_low)
             improvement = math.nan
             if existing.welfare != 0.0:
                 improvement = 100.0 * (welfare.total - existing.welfare) / abs(existing.welfare)
@@ -194,8 +223,9 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 "fwt_payoff_l": outcome.payoff_low,
                 "existing_payoff_h": existing.payoff_high,
                 "existing_payoff_l": existing.payoff_low,
-                "fwt_jain": jain_index(fwt_payoffs),
-                "existing_jain": jain_index(ex_payoffs),
+                "fwt_jain": jain_index((outcome.payoff_high, outcome.payoff_low), counts),
+                "existing_jain": jain_index((existing.payoff_high, existing.payoff_low),
+                                            counts),
                 "existing_converged": existing.converged,
                 "existing_cycle_len": existing.cycle_len,
             })
@@ -225,12 +255,39 @@ def cmd_sweep(args) -> int:
         raise InvalidInput(f"--steps must be at least 1, got {args.steps}")
     rows = sweep_rows(params, args.axis, lo, hi, args.steps,
                       tax_split=args.tax_split)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, restval="")
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv_text(SWEEP_COLUMNS, ([row.get(c, "") for c in SWEEP_COLUMNS] for row in rows)),
+          args.out)
     return EXIT_OK
+
+
+EVENT_COLUMNS = ["time", "event_type", "user_id", "tx_index", "fee_per_byte",
+                 "block_id", "winner_miner"]
+
+# SimReport fields written one level down: field -> (group, key)
+_SIM_NESTED = {
+    **{name: ("tx_counts", name)
+       for name in ("included_high", "included_low", "generated_high", "generated_low")},
+    "censored_count_total": ("censored", "count"),
+    "censored_wait_total": ("censored", "wait"),
+}
+
+
+def _simulate_doc(report) -> dict:
+    """`SimReport`'s fields in order, arrays as lists, without the event
+    log; a group sits where its first field does."""
+    doc = {}
+    for field in fields(report):
+        if field.name == "events":
+            continue
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if field.name in _SIM_NESTED:
+            group, key = _SIM_NESTED[field.name]
+            doc.setdefault(group, {})[key] = value
+        else:
+            doc[field.name] = value
+    return doc
 
 
 def cmd_simulate(args) -> int:
@@ -244,8 +301,8 @@ def cmd_simulate(args) -> int:
         replications=args.replications, log_events=bool(args.events))
     report = run_sim(config)
     if args.events:
-        Path(args.events).write_text(event_log_to_csv(report.events or []))
-    _emit(json.dumps(report.to_json_dict(), indent=2, allow_nan=True), args.out)
+        _emit(_csv_text(EVENT_COLUMNS, report.events), args.events)
+    _emit(json.dumps(_simulate_doc(report), indent=2, allow_nan=True), args.out)
     return EXIT_OK
 
 
@@ -278,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="CSV parameter sweep vs the baseline")
     common(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["gamma", "r_high", "n_users", "cost_ratio"])
+    p_sweep.add_argument("--axis", required=True, choices=list(_SWEEP_DEFAULTS))
     p_sweep.add_argument("--range", help="lo:hi (defaults per axis)")
     p_sweep.add_argument("--steps", type=int, default=20)
     p_sweep.add_argument("--paper-scale", action="store_true", dest="paper_scale",

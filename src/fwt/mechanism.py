@@ -44,22 +44,6 @@ class Mechanism:
     q_low: float
     case: int  # 1 or 2
 
-    def to_json_dict(self) -> dict:
-        entries = (self.tax.p_hh, self.tax.p_hl, self.tax.p_lh, self.tax.p_ll)
-        return {
-            "rho_high": self.menu.rho_high,
-            "rho_low": self.menu.rho_low,
-            "P_HH": self.tax.p_hh,
-            "P_HL": self.tax.p_hl,
-            "P_LH": self.tax.p_lh,
-            "P_LL": self.tax.p_ll,
-            "q_H": self.q_high,
-            "q_L": self.q_low,
-            "case": self.case,
-            # negative entries are subsidies; legal, but worth surfacing
-            "negative_entries": any(e < 0 for e in entries),
-        }
-
 
 def _make_menu(rho_high: float, rho_low: float) -> FeeMenu:
     # degenerate-gamma guard: keep the menu strictly ordered
@@ -209,16 +193,6 @@ class WelfareBreakdown:
     payoff_high: float
     payoff_low: float
     avg_fee_per_byte: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "user_sum": self.user_sum,
-            "miner_sum": self.miner_sum,
-            "payoff_high": self.payoff_high,
-            "payoff_low": self.payoff_low,
-            "avg_fee_per_byte": self.avg_fee_per_byte,
-        }
 
 
 def social_welfare(outcome: SneOutcome, menu: FeeMenu, tax: TaxVector,

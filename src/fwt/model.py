@@ -7,7 +7,7 @@ setup: currency in USD, time in seconds, sizes in bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -236,15 +236,9 @@ class HeteroCostParams:
 # match SystemParams exactly. mining_power is either omitted (uniform) or a
 # comma-separated list.
 
-_INT_FIELDS = {"n_users_high", "n_users_low", "n_miners"}
-_FLOAT_FIELDS = {
-    "block_rate",
-    "impatience",
-    "mean_tx_size",
-    "storage_cost_per_byte",
-    "utility_high",
-    "utility_low",
-}
+# a numeric field's type is its default's; mining_power is parsed on its own
+_INT_FIELDS = {f.name for f in fields(SystemParams) if type(f.default) is int}
+_FLOAT_FIELDS = {f.name for f in fields(SystemParams) if type(f.default) is float}
 
 
 def params_from_mapping(mapping: dict[str, str]) -> SystemParams:

@@ -36,8 +36,6 @@ output. All exponential draws use the inverse CDF.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +49,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run",
-    "event_log_to_csv",
 ]
 
 
@@ -373,39 +370,6 @@ class SimReport:
     censored_wait_total: float
     events: list | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "horizon": self.horizon,
-            "warmup": self.warmup,
-            "user_wait_mean": self.user_wait_mean.tolist(),
-            "user_wait_ci": self.user_wait_ci.tolist(),
-            "user_payoff_mean": self.user_payoff_mean.tolist(),
-            "user_payoff_ci": self.user_payoff_ci.tolist(),
-            "type_wait_mean": self.type_wait_mean,
-            "type_wait_ci": self.type_wait_ci,
-            "type_payoff_mean": self.type_payoff_mean,
-            "type_payoff_ci": self.type_payoff_ci,
-            "welfare_mean": self.welfare_mean,
-            "welfare_ci": self.welfare_ci,
-            "fees_debited": self.fees_debited,
-            "fees_credited": self.fees_credited,
-            "taxes_paid": self.taxes_paid,
-            "taxes_received": self.taxes_received,
-            "blocks_total": self.blocks_total,
-            "blocks_empty": self.blocks_empty,
-            "tx_counts": {
-                "included_high": self.included_high,
-                "included_low": self.included_low,
-                "generated_high": self.generated_high,
-                "generated_low": self.generated_low,
-            },
-            "censored": {
-                "count": self.censored_count_total,
-                "wait": self.censored_wait_total,
-            },
-        }
-
 
 def run(config: SimConfig) -> SimReport:
     """Run all replications and reduce to means with 95% intervals."""
@@ -471,16 +435,3 @@ def run(config: SimConfig) -> SimReport:
         censored_wait_total=float(sum(r.censored_wait.sum() for r in reps)),
         events=events,
     )
-
-
-_EVENT_FIELDS = ["time", "event_type", "user_id", "tx_index", "fee_per_byte",
-                 "block_id", "winner_miner"]
-
-
-def event_log_to_csv(events: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_EVENT_FIELDS)
-    for row in events:
-        writer.writerow(row)
-    return buf.getvalue()

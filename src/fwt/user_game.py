@@ -181,21 +181,6 @@ class SneOutcome:
     payoff_high: float
     payoff_low: float
 
-    def to_json_dict(self) -> dict:
-        def pair(rp: RatePair) -> dict:
-            return {"rate_high": rp.rate_high, "rate_low": rp.rate_low}
-
-        return {
-            "sne_kind": self.sne_kind.value,
-            "fee_used": self.fee_used,
-            "rates": {
-                "H": pair(self.profile.rates_high_type),
-                "L": pair(self.profile.rates_low_type),
-            },
-            "waiting_rate": {"H": self.waiting_rate_high, "L": self.waiting_rate_low},
-            "payoff": {"H": self.payoff_high, "L": self.payoff_low},
-        }
-
 
 def sne_select(menu: FeeMenu, tax: TaxVector, params: SystemParams) -> SneOutcome:
     """Pick the Stage-II equilibrium for the menu under the tax (whose row

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,22 +26,42 @@ def run_cli(args, capsys):
 
 
 def test_jain_index_examples():
-    assert jain_index([3.0, 3.0, 3.0]) == 1.0
-    assert jain_index([1.0, 0.0]) == pytest.approx(0.5)
-    assert math.isnan(jain_index([0.0, 0.0]))
+    assert jain_index([3.0], [3]) == 1.0
+    assert jain_index([3.0, 3.0], [2, 5]) == 1.0
+    assert jain_index([1.0, 0.0], [1, 1]) == pytest.approx(0.5)
+    assert jain_index([2.0, 1.0], [1, 2]) == pytest.approx(16 / 18)
+    assert math.isnan(jain_index([0.0, 0.0], [1, 1]))
     with pytest.raises(ValueError):
-        jain_index([])
+        jain_index([], [])
+    with pytest.raises(ValueError):
+        jain_index([1.0, 2.0], [1])
 
 
-@pytest.mark.parametrize("n_users", [200, 537_000])
-def test_sweep_jain_equals_list_form(n_users):
-    """The sweep's Jain columns equal jain_index over per-user payoff
-    lists, bit for bit."""
-    (row,) = sweep_rows(SystemParams(), "n_users", n_users, n_users, 1)
-    half = n_users // 2
-    for prefix in ("fwt", "existing"):
-        payoffs = [row[f"{prefix}_payoff_h"]] * half + [row[f"{prefix}_payoff_l"]] * half
-        assert row[f"{prefix}_jain"] == jain_index(payoffs)
+@pytest.mark.parametrize("argv", [
+    ("n_users", 200, 200, 1), ("n_users", 537_000, 537_000, 1), ("gamma", 0.0, 0.0, 1),
+    ("gamma", 1e-5, 1e-3, 7), ("r_high", 5e-4, 3e-3, 7)],
+    ids=["200", "537000", "gamma0", "gamma", "r_high"])
+def test_sweep_jain_at_most_one_and_near_exact(argv):
+    """Each Jain column is at most 1 and within 1e-15 of the index computed
+    exactly from the row's payoffs (NaN where every payoff is 0)."""
+    params = SystemParams()
+    for row in sweep_rows(params, *argv):
+        assert row["error"] == ""
+        if argv[0] == "n_users":
+            n_h = n_l = round(argv[1] / 2)
+        else:
+            n_h, n_l = params.n_users_high, params.n_users_low
+        for prefix in ("fwt", "existing"):
+            u_h = Fraction(row[f"{prefix}_payoff_h"])
+            u_l = Fraction(row[f"{prefix}_payoff_l"])
+            jain = row[f"{prefix}_jain"]
+            if u_h == u_l == 0:
+                assert math.isnan(jain)
+                continue
+            total = n_h * u_h + n_l * u_l
+            exact = total ** 2 / ((n_h + n_l) * (n_h * u_h ** 2 + n_l * u_l ** 2))
+            assert jain <= 1.0, (argv, row)
+            assert abs(Fraction(jain) - exact) <= Fraction(1, 10 ** 15) * exact, (argv, row)
 
 
 @pytest.mark.parametrize("n_users", [0, 1])
@@ -403,6 +425,67 @@ def test_check_rejects_degenerate_budget(capsys, argv):
     assert err.startswith("invalid input:")
 
 
+def _key_paths(doc, prefix=""):
+    """Leaf key paths in document order; a list is one leaf, `key[length]`."""
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + ".")
+        elif isinstance(value, list):
+            yield f"{path}[{len(value)}]"
+        else:
+            yield path
+
+
+SOLVE_KEY_PATHS = [
+    "mechanism.rho_high", "mechanism.rho_low", "mechanism.P_HH", "mechanism.P_HL",
+    "mechanism.P_LH", "mechanism.P_LL", "mechanism.q_H", "mechanism.q_L",
+    "mechanism.case", "mechanism.negative_entries",
+    "outcome.sne_kind", "outcome.fee_used",
+    "outcome.rates.H.rate_high", "outcome.rates.H.rate_low",
+    "outcome.rates.L.rate_high", "outcome.rates.L.rate_low",
+    "outcome.waiting_rate.H", "outcome.waiting_rate.L", "outcome.payoff.H", "outcome.payoff.L",
+    "welfare.total", "welfare.user_sum", "welfare.miner_sum", "welfare.payoff_high",
+    "welfare.payoff_low", "welfare.avg_fee_per_byte",
+    "sufficient_fee.avg_fee_per_byte", "sufficient_fee.bound", "sufficient_fee.satisfied",
+]
+
+SIMULATE_KEY_PATHS = [
+    "replications", "horizon", "warmup",
+    "user_wait_mean[200]", "user_wait_ci[200]", "user_payoff_mean[200]", "user_payoff_ci[200]",
+    "type_wait_mean.H", "type_wait_mean.L", "type_wait_ci.H", "type_wait_ci.L",
+    "type_payoff_mean.H", "type_payoff_mean.L", "type_payoff_ci.H", "type_payoff_ci.L",
+    "welfare_mean", "welfare_ci",
+    "fees_debited[2]", "fees_credited[2]", "taxes_paid[2]", "taxes_received[2]",
+    "blocks_total[2]", "blocks_empty[2]",
+    "tx_counts.included_high", "tx_counts.included_low",
+    "tx_counts.generated_high", "tx_counts.generated_low",
+    "censored.count", "censored.wait",
+]
+
+
+def test_output_shapes(tmp_path, capsys):
+    """The key paths of the solve and simulate JSON, in order, and the
+    headers of the event-log and sweep CSVs."""
+    code, out, _ = run_cli(["solve"], capsys)
+    assert code == 0
+    assert list(_key_paths(json.loads(out))) == SOLVE_KEY_PATHS
+    events = tmp_path / "events.csv"
+    code, out, _ = run_cli(["simulate", "--replications", "2", "--horizon", "200",
+                            "--events", str(events)], capsys)
+    assert code == 0
+    assert list(_key_paths(json.loads(out))) == SIMULATE_KEY_PATHS
+    assert events.read_text().splitlines()[0] == (
+        "time,event_type,user_id,tx_index,fee_per_byte,block_id,winner_miner")
+    code, out, _ = run_cli(["sweep", "--axis", "gamma", "--steps", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "axis,value,fwt_avg_fee,existing_avg_fee,storage_bound,"
+        "fwt_welfare,existing_welfare,improvement_pct,"
+        "fwt_payoff_h,fwt_payoff_l,existing_payoff_h,existing_payoff_l,"
+        "fwt_jain,existing_jain,error,existing_converged,existing_cycle_len")
+
+
 # The solve JSON fields that may hold a non-finite number (README, "Solve JSON").
 SOLVE_NON_FINITE = {"outcome.waiting_rate.H", "outcome.waiting_rate.L",
                     "welfare.avg_fee_per_byte", "sufficient_fee.avg_fee_per_byte"}
@@ -490,6 +573,31 @@ def test_sweep_csv_non_finite_only_in_documented_fields(capsys):
                                     "improvement_pct"}, row
             seen |= paths
     assert seen == SWEEP_NON_FINITE
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table_names(intro):
+    """The backquoted names in the first column of the README's table that
+    follows the line starting with `intro`."""
+    lines = README.read_text().split(intro, 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    names = set()
+    for line in lines[start + 2:]:        # past the header and the rule
+        if not line.startswith("|"):
+            break
+        names |= set(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return names
+
+
+def test_readme_documents_the_declared_fields():
+    """The README's sweep-column block is SWEEP_COLUMNS, and its tables of
+    non-finite fields name exactly the fields the tests above allow."""
+    block = README.read_text().split("Sweep CSV columns", 1)[1].split("```")[1]
+    assert [name.strip() for name in block.split(",")] == SWEEP_COLUMNS
+    assert _readme_table_names("Numbers in the sweep CSV are finite") == SWEEP_NON_FINITE
+    assert _readme_table_names("Numbers are finite except in these fields") == SOLVE_NON_FINITE
 
 
 # The simulate JSON fields that are NaN at --replications 1 (README,

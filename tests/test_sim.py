@@ -16,7 +16,8 @@ from fwt import sim
 from fwt.checks import lemma1_profiles, validate_lemma1
 from fwt.miner_game import PendingTx, TxPool, equilibrium_selection
 from fwt.model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
-from fwt.sim import SimConfig, _fifo_served, _t_quantile, event_log_to_csv, run
+from fwt.cli import EVENT_COLUMNS, _csv_text, _simulate_doc
+from fwt.sim import SimConfig, _fifo_served, _t_quantile, run
 
 import reference
 
@@ -59,10 +60,10 @@ def test_config_validation():
 def test_same_seed_bit_identical():
     prof = StrategyProfile(RatePair(1.0, 1.0), RatePair(1.0, 1.0))
     tax = TaxVector(1e-5, -2e-6, 3e-6, 4e-5)
-    a = run(config(prof, tax=tax)).to_json_dict()
-    b = run(config(prof, tax=tax)).to_json_dict()
+    a = _simulate_doc(run(config(prof, tax=tax)))
+    b = _simulate_doc(run(config(prof, tax=tax)))
     assert json.dumps(a, allow_nan=True) == json.dumps(b, allow_nan=True)
-    c = run(config(prof, tax=tax, seed=12)).to_json_dict()
+    c = _simulate_doc(run(config(prof, tax=tax, seed=12)))
     assert json.dumps(a, allow_nan=True) != json.dumps(c, allow_nan=True)
 
 
@@ -372,8 +373,8 @@ def test_event_log_from_first_replication_only(monkeypatch):
     plain = run(config(prof, tax=tax, reps=10))
     one = run(config(prof, tax=tax, reps=1, log_events=True))
     assert plain.events is None
-    assert (json.dumps(logged.to_json_dict(), allow_nan=True)
-            == json.dumps(plain.to_json_dict(), allow_nan=True))
+    assert (json.dumps(_simulate_doc(logged), allow_nan=True)
+            == json.dumps(_simulate_doc(plain), allow_nan=True))
     assert logged.events == one.events
     # the first replication's generator draws the blocks, the arrivals, and
     # then the winners
@@ -391,7 +392,7 @@ def test_event_log_from_first_replication_only(monkeypatch):
 def test_event_log_csv_header():
     prof = StrategyProfile(RatePair(0.5, 0.0), RatePair(0.0, 0.0))
     report = run(config(prof, horizon=50.0, reps=1, log_events=True))
-    text = event_log_to_csv(report.events)
+    text = _csv_text(EVENT_COLUMNS, report.events)
     assert text.splitlines()[0] == (
         "time,event_type,user_id,tx_index,fee_per_byte,block_id,winner_miner")
 

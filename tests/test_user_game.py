@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwt.checks import criterion_grid, prop2_draws
+from fwt.cli import _outcome_doc
 from fwt.mechanism import induced_outcome, optimal_mechanism
 from fwt.model import FeeMenu, RatePair, SneKind, StrategyProfile, SystemParams, TaxVector
 from fwt.queue import InvariantError, split_roles
@@ -449,7 +450,7 @@ def test_outcome_payoffs_and_json_round_trip(table_params):
     out = sne_select(menu, TaxVector.zero(), table_params)
     assert out.payoff_high == user_payoff("H", out, menu, TaxVector.zero(), table_params)
     assert out.payoff_low == user_payoff("L", out, menu, TaxVector.zero(), table_params)
-    doc = json.loads(json.dumps(out.to_json_dict()))
+    doc = json.loads(json.dumps(_outcome_doc(out)))
     assert doc["sne_kind"] == "LowFeeSNE"
     assert doc["rates"]["H"]["rate_low"] == out.profile.rates_high_type.rate_low
     assert doc["payoff"]["H"] == out.payoff_high
