@@ -85,12 +85,25 @@ def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
     the computed payoff can fall below 0. The scan then walks on along the
     run to its first payoff >= 0, as a search over the whole grid would.
     """
+    mu = params.block_rate
+    gamma = params.impatience
+    cap = params.max_rate_per_user
     best = None
-    for start, stop in ((0, other_fi), (other_fi, other_fi + 1), (other_fi + 1, len(grid))):
+    for start, stop, above, same in ((0, other_fi, other_load, 0.0),
+                                     (other_fi, other_fi + 1, 0.0, other_load),
+                                     (other_fi + 1, len(grid), 0.0, 0.0)):
+        mu1 = mu - above          # capacity above my class
+        free = mu1 - same         # class capacity left before my type's load
         for i in range(start, stop):
-            above = other_load if i < other_fi else 0.0
-            same = other_load if i == other_fi else 0.0
-            lam, payoff = _rate_and_payoff(r_n, n_own, above, same, float(grid[i]), params)
+            margin = r_n - params.mean_tx_size * float(grid[i])
+            lam = 0.0
+            if margin > 0 and mu1 > 0 and free > 0:
+                if gamma == 0.0:
+                    lam = min(free, cap)
+                else:
+                    lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0),
+                              cap)
+            payoff = _payoff(n_own, lam, above, same, margin, params)
             if best is None or payoff > best[2]:
                 best = (i, lam, payoff)
             if payoff >= 0.0:
@@ -98,37 +111,16 @@ def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
     return best
 
 
-def _rate_and_payoff(r_n: float, n_own: int, above: float, same: float, fee: float,
-                     params: SystemParams):
-    """Within-type equilibrium (rate, payoff) of one user type at one fee,
-    with `above` and `same` the other type's load in the higher fee classes
-    and in this fee's class; (0, 0) where the type cannot profit."""
-    mu = params.block_rate
-    gamma = params.impatience
-    margin = r_n - params.mean_tx_size * fee
-    mu1 = mu - above          # capacity above my class
-    free = mu1 - same         # class capacity left before my type's load
-    if not (margin > 0 and mu1 > 0 and free > 0):
-        return 0.0, 0.0
-    cap = params.max_rate_per_user
-    if gamma == 0.0:
-        lam = min(free, cap)
-    else:
-        lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0), cap)
-    return lam, _payoff(r_n, n_own, lam, above, same, fee, params)
-
-
-def _payoff(r_n: float, n_own: int, lam: float, above: float, same: float, fee: float,
+def _payoff(n_own: int, lam: float, above: float, same: float, margin: float,
             params: SystemParams) -> float:
-    """Payoff of one user of a type whose n_own users each send `lam` at
-    `fee`, with `above` and `same` the other type's load in the higher fee
-    classes and in this fee's class; 0 without traffic, and a class loaded
-    to mu or past it waits forever."""
+    """Payoff of one user of a type whose n_own users each send `lam` at a
+    fee with net `margin` = r_n - sbar*fee, with `above` and `same` the
+    other type's load in the higher fee classes and in this fee's class;
+    0 without traffic, and a class loaded to mu or past it waits forever."""
     if lam == 0.0:
         return 0.0
     mu = params.block_rate
     gamma = params.impatience
-    margin = r_n - params.mean_tx_size * fee
     if gamma == 0.0:
         return lam * margin
     through = above + same + n_own * lam
@@ -144,7 +136,7 @@ def _state_metrics(state, grid, params: SystemParams, system_cost_per_byte: floa
     def payoff(r_n, n_own, fi, lam, other_fi, other_rate):
         above = other_rate if other_fi > fi else 0.0
         same = other_rate if other_fi == fi else 0.0
-        return _payoff(r_n, n_own, lam, above, same, grid[fi], params)
+        return _payoff(n_own, lam, above, same, r_n - params.mean_tx_size * grid[fi], params)
 
     u_h = payoff(params.utility_high, n_h, fi_h, lam_h, fi_l, n_l * lam_l)
     u_l = payoff(params.utility_low, n_l, fi_l, lam_l, fi_h, n_h * lam_h)
@@ -163,9 +155,11 @@ def existing_equilibrium(params: SystemParams,
                          system_cost_per_byte: float | None = None) -> ExistingOutcome:
     """Round-robin best-response equilibrium of the no-tax fee game.
 
-    Starts from (fee = C_s, rate = mu/N) for both types. On a best-response
-    cycle, returns the best-welfare state of the cycle with converged=False
-    and the cycle's length in cycle_len.
+    Starts from (fee = C_s, rate = mu/N) for both types and stops at the
+    first revisited state. A fixed point is a cycle of length 1 and sets
+    converged=True; on a longer cycle, returns the cycle's best-welfare
+    state with converged=False. cycle_len is the cycle's length, 0 if
+    MAX_ITERS ran out.
     """
     require_valid(params)
     grid = _fee_grid(params, FEE_GRID_POINTS)
@@ -175,33 +169,24 @@ def existing_equilibrium(params: SystemParams,
            if system_cost_per_byte is None else system_cost_per_byte)
 
     state = (0, cap, 0, cap)
-    seen: dict[tuple, int] = {state: 0}
-    history = [state]
-    cycle_len = 0
-    iterations = 0
-    for it in range(1, MAX_ITERS + 1):
-        iterations = it
-        fi_h, lam_h, fi_l, lam_l = state
+    seen: dict[tuple, int] = {}   # state -> visit index, in visit order
+    for iterations in range(1, MAX_ITERS + 1):
+        seen[state] = len(seen)
         fi_h, lam_h, _ = _best_response(
-            params.utility_high, n_h, fi_l, n_l * lam_l, grid, params)
-        bi_l, bl_l, _ = _best_response(
+            params.utility_high, n_h, state[2], n_l * state[3], grid, params)
+        fi_l, lam_l, _ = _best_response(
             params.utility_low, n_l, fi_h, n_h * lam_h, grid, params)
-        new_state = (fi_h, lam_h, bi_l, bl_l)
-        if new_state == state:
-            cycle_len = 1
-            break
-        if new_state in seen:
-            # cycle: keep the best-welfare state on it
-            start = seen[new_state]
-            cycle = history[start:]
+        state = (fi_h, lam_h, fi_l, lam_l)
+        if state in seen:
+            # a cycle, of length 1 at a fixed point: keep its best-welfare state
+            cycle = list(seen)[seen[state]:]
             cycle_len = len(cycle)
             welfare = welfare_rate(np.array([s[1] for s in cycle]),
                                    np.array([s[3] for s in cycle]), params, scb)
             state = cycle[int(np.argmax(welfare))]
             break
-        seen[new_state] = len(history)
-        history.append(new_state)
-        state = new_state
+    else:
+        cycle_len = 0
 
     u_h, u_l, welfare, avg_fee = _state_metrics(state, grid, params, scb)
     fi_h, lam_h, fi_l, lam_l = state

@@ -8,6 +8,7 @@ tax-ordering claims.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -343,6 +344,9 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
     No-generation points yield identically zero payoffs (Jain undefined);
     they count as trivially fair since all payoffs are equal.
     """
+    if points < 2:
+        raise ValueError(f"points must be at least 2 (the one point is a "
+                         f"no-generation point), got {points}")
 
     def body():
         details = []
@@ -407,24 +411,28 @@ def check_corollary2(step: float = 1e-6) -> CheckResult:
     return _timed("corollary2", body)
 
 
-def _budget_or(budget: int | None, default: int) -> int:
-    return default if budget is None else budget
-
-
+# each suite's keyword defaults are the options it takes: a suite without a
+# `seed` draws no random numbers, and corollary2 has no sample budget
 SUITES = {
-    "miner_ne": lambda budget, seed: check_miner_ne(budget=_budget_or(budget, 1000), seed=seed),
-    "user_ne": lambda budget, seed: check_user_ne(points_per_axis=_budget_or(budget, 5)),
-    "lemma1": lambda budget, seed: check_lemma1(replications=_budget_or(budget, 10), seed=seed),
-    "prop2": lambda budget, seed: check_prop2(grid_points=_budget_or(budget, 50), seed=seed),
-    "fairness": lambda budget, seed: check_fairness(points=_budget_or(budget, 20)),
-    "corollary2": lambda budget, seed: check_corollary2(),
+    "miner_ne": lambda budget=1000, seed=0: check_miner_ne(budget=budget, seed=seed),
+    "user_ne": lambda budget=5: check_user_ne(points_per_axis=budget),
+    "lemma1": lambda budget=10, seed=0: check_lemma1(replications=budget, seed=seed),
+    "prop2": lambda budget=50, seed=0: check_prop2(grid_points=budget, seed=seed),
+    "fairness": lambda budget=20: check_fairness(points=budget),
+    "corollary2": lambda: check_corollary2(),
 }
 
 
-def run_suite(name: str, budget: int | None = None, seed: int = 0) -> CheckResult:
-    """Run one suite; `budget` (at least 1) replaces its sample budget."""
+def run_suite(name: str, budget: int | None = None, seed: int | None = None) -> CheckResult:
+    """Run one suite; `budget` (at least 1) replaces its sample budget and
+    `seed` its seed. An option the suite does not take is a `ValueError`."""
     if name not in SUITES:
         raise KeyError(f"unknown check suite {name!r}; choose from {sorted(SUITES)}")
+    options = {key: value for key, value in (("budget", budget), ("seed", seed))
+               if value is not None}
+    ignored = options.keys() - inspect.signature(SUITES[name]).parameters.keys()
+    if ignored:
+        raise ValueError(f"check suite {name!r} takes no {' or '.join(sorted(ignored))}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    return SUITES[name](budget, seed)
+    return SUITES[name](**options)

@@ -204,9 +204,9 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 p, tax_split, hetero)
             bound = p_eff.system_storage_per_byte
             # baseline miners accept at the cheapest miner's threshold;
-            # welfare still charges true (possibly hetero-averaged) storage
-            existing = existing_equilibrium(
-                p, system_cost_per_byte=bound if hetero is not None else None)
+            # welfare still charges true (possibly hetero-averaged) storage,
+            # which without hetero is p's own
+            existing = existing_equilibrium(p, system_cost_per_byte=bound)
 
             counts = (p_eff.n_users_high, p_eff.n_users_low)
             improvement = math.nan
@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("--budget", type=int, default=None,
                          help="suite-specific sample budget")
-    p_check.add_argument("--seed", type=_seed, default=0)
+    p_check.add_argument("--seed", type=_seed, default=None,
+                         help="seed of a suite that draws random numbers")
     p_check.add_argument("--out")
     p_check.set_defaults(fn=cmd_check)
     return parser

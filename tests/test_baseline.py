@@ -115,6 +115,26 @@ def test_lone_competitor_settles_at_grid_minimum():
     assert out.converged
 
 
+@pytest.mark.parametrize("utility_low, max_iters, converged, cycle_len, iterations", [
+    (1e-7, None, True, 1, 3),      # L never profits: a fixed point
+    (None, None, False, 18, 19),   # the defaults: an Edgeworth cycle
+    (None, 3, False, 0, 3),        # the iteration limit runs out first
+], ids=["fixed_point", "cycle", "iteration_limit"])
+def test_existing_equilibrium_ends(monkeypatch, utility_low, max_iters, converged,
+                                   cycle_len, iterations):
+    """The three ways the round-robin iteration stops: a fixed point is a
+    cycle of length 1, a longer cycle keeps a state on it, and running out
+    of iterations reports cycle length 0."""
+    p = SystemParams()
+    if utility_low is not None:
+        p = replace(p, utility_low=utility_low)
+    if max_iters is not None:
+        monkeypatch.setattr(fwt.baseline, "MAX_ITERS", max_iters)
+    out = existing_equilibrium(p)
+    assert (out.converged, out.cycle_len, out.iterations) == (converged, cycle_len, iterations)
+    assert verify_existing(out, p) == converged
+
+
 def test_defaults_outcome_is_sane(table_params):
     out = existing_equilibrium(table_params)
     assert out.rate_high_type > 0 and out.rate_low_type > 0

@@ -401,7 +401,7 @@ def test_check_corollary2_passes(capsys):
 
 
 def test_check_miner_ne_small_budget(capsys):
-    code, out, _ = run_cli(["check", "miner_ne", "--budget", "40"], capsys)
+    code, out, _ = run_cli(["check", "miner_ne", "--budget", "40", "--seed", "3"], capsys)
     assert code == 0
     assert "40/40 random pools passed" in out
 
@@ -417,12 +417,29 @@ def test_check_unknown_suite_rejected(capsys):
     ["prop2", "--budget", "1"],     # a one-fee grid holds no menu
     ["user_ne", "--budget", "1"],   # one NoGeneration point certifies nothing
     ["lemma1", "--budget", "1"],    # one replication forms no interval
-], ids=["negative", "zero", "one_fee", "one_user_ne_point", "one_replication"])
+    ["fairness", "--budget", "1"],  # one point, where nobody generates
+], ids=["negative", "zero", "one_fee", "one_user_ne_point", "one_replication",
+        "one_fairness_point"])
 def test_check_rejects_degenerate_budget(capsys, argv):
     code, out, err = run_cli(["check"] + argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("suite, option", [
+    ("user_ne", "seed"),
+    ("fairness", "seed"),
+    ("corollary2", "seed"),
+    ("corollary2", "budget"),
+])
+def test_check_rejects_option_the_suite_ignores(capsys, suite, option):
+    """A suite that draws no random numbers takes no --seed, and corollary2
+    has no sample budget: the option would change nothing, so it is an
+    input error rather than a silent no-op, even at its former default."""
+    value = {"seed": "0", "budget": "7"}[option]
+    assert run_cli(["check", suite, f"--{option}", value], capsys) == (
+        2, "", f"invalid input: check suite {suite!r} takes no {option}\n")
 
 
 def _key_paths(doc, prefix=""):
