@@ -10,7 +10,7 @@ directories, so a claim of unchanged output is one `diff -r`:
 
 The commands are `fwt solve` variants, the evaluation sweeps, two seeded
 `fwt simulate` runs with their event logs, and every `fwt check` suite,
-written as its pass flag and detail lines without the duration. Only
+written as its pass flag and detail lines. Only
 `fwt.cli.main` and `fwt.checks.run_suite` are used, so the script runs
 against any tree that has them.
 """

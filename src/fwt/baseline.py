@@ -48,10 +48,10 @@ class ExistingOutcome:
     cycle_len: int  # 1 at a fixed point, k on a k-cycle, 0 if MAX_ITERS ran out
 
 
-def _fee_grid(params: SystemParams, points: int) -> np.ndarray:
+def _fee_grid(params: SystemParams) -> np.ndarray:
     lo = params.storage_cost_per_byte
     hi = 2.0 * params.utility_high / params.mean_tx_size
-    return np.linspace(lo, max(hi, lo * (1 + 1e-9)), points)
+    return np.linspace(lo, max(hi, lo * (1 + 1e-9)), FEE_GRID_POINTS)
 
 
 def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
@@ -162,7 +162,7 @@ def existing_equilibrium(params: SystemParams,
     MAX_ITERS ran out.
     """
     require_valid(params)
-    grid = _fee_grid(params, FEE_GRID_POINTS)
+    grid = _fee_grid(params)
     n_h, n_l = params.n_users_high, params.n_users_low
     cap = params.max_rate_per_user
     scb = (params.system_storage_per_byte
@@ -208,7 +208,7 @@ def existing_equilibrium(params: SystemParams,
 def verify_existing(outcome: ExistingOutcome, params: SystemParams,
                     eps: float = 1e-9) -> bool:
     """Check the outcome is a best-response fixed point on the fee grid."""
-    grid = _fee_grid(params, FEE_GRID_POINTS)
+    grid = _fee_grid(params)
     n_h, n_l = params.n_users_high, params.n_users_low
     fi_h = int(np.argmin(np.abs(grid - outcome.fee_high_type)))
     fi_l = int(np.argmin(np.abs(grid - outcome.fee_low_type)))

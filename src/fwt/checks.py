@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,21 +61,9 @@ def jain_index(payoffs, counts) -> float:
 
 @dataclass
 class CheckResult:
-    name: str
+    """A suite's verdict and its detail lines, one finding each."""
     passed: bool
     details: list[str]
-    duration_s: float
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name} ({self.duration_s:.1f}s)"
-
-
-def _timed(name: str, fn) -> CheckResult:
-    start = time.perf_counter()
-    passed, details = fn()
-    return CheckResult(name=name, passed=passed, details=details,
-                       duration_s=time.perf_counter() - start)
 
 
 # --- miner equilibrium -------------------------------------------------------
@@ -116,27 +103,23 @@ def _random_miner_params(rng: np.random.Generator) -> SystemParams:
 
 def check_miner_ne(budget: int = 1000, seed: int = 0) -> CheckResult:
     """Theorem-1 profile survives exhaustive unilateral deviations, eps=0."""
-
-    def body():
-        rng = np.random.default_rng(seed)
-        details = []
-        failures = 0
-        for i in range(budget):
-            params = _random_miner_params(rng)
-            pool = _random_pool(rng, params)
-            sel = equilibrium_selection(pool, params)
-            # Corollary-1 threshold: included iff top fee clears C_s
-            top_fee = max(t.fee_per_byte for t in pool)
-            threshold_ok = (sel is not None) == (top_fee >= params.storage_cost_per_byte)
-            dev = check_miner_nash([sel] * params.n_miners, pool, params)
-            if dev is not None or not threshold_ok:
-                failures += 1
-                if len(details) < 5:
-                    details.append(f"pool {i}: deviation={dev} threshold_ok={threshold_ok}")
-        details.insert(0, f"{budget - failures}/{budget} random pools passed at eps=0")
-        return failures == 0, details
-
-    return _timed("miner_ne", body)
+    rng = np.random.default_rng(seed)
+    details = []
+    failures = 0
+    for i in range(budget):
+        params = _random_miner_params(rng)
+        pool = _random_pool(rng, params)
+        sel = equilibrium_selection(pool, params)
+        # Corollary-1 threshold: included iff top fee clears C_s
+        top_fee = max(t.fee_per_byte for t in pool)
+        threshold_ok = (sel is not None) == (top_fee >= params.storage_cost_per_byte)
+        dev = check_miner_nash([sel] * params.n_miners, pool, params)
+        if dev is not None or not threshold_ok:
+            failures += 1
+            if len(details) < 5:
+                details.append(f"pool {i}: deviation={dev} threshold_ok={threshold_ok}")
+    details.insert(0, f"{budget - failures}/{budget} random pools passed at eps=0")
+    return CheckResult(failures == 0, details)
 
 
 # --- user equilibrium --------------------------------------------------------
@@ -156,28 +139,25 @@ def check_user_ne(points_per_axis: int = 5, grid: int = 101) -> CheckResult:
         raise ValueError(f"points_per_axis must be at least 2 (one point is a "
                          f"NoGeneration equilibrium), got {points_per_axis}")
 
-    def body():
-        details = []
-        failures = 0
-        kinds = set()
-        points = user_ne_sweep_points(points_per_axis)
-        for gamma, r_high, rho_high in points:
-            params = replace(TABLE_DEFAULTS, impatience=gamma,
-                             utility_high=r_high, utility_low=r_high / 2.0)
-            menu = FeeMenu(rho_high=rho_high, rho_low=params.system_storage_per_byte)
-            outcome = sne_select(menu, TaxVector.zero(), params)
-            kinds.add(outcome.sne_kind.value)
-            dev = best_response_check(outcome, menu, TaxVector.zero(), params, grid=grid)
-            if dev is not None:
-                failures += 1
-                if len(details) < 5:
-                    details.append(
-                        f"gamma={gamma:g} R_H={r_high:g} rho_high={rho_high:g}: {dev}")
-        details.insert(0, f"{len(points) - failures}/{len(points)} sweep points certified "
-                          f"(kinds seen: {sorted(kinds)})")
-        return failures == 0, details
-
-    return _timed("user_ne", body)
+    details = []
+    failures = 0
+    kinds = set()
+    points = user_ne_sweep_points(points_per_axis)
+    for gamma, r_high, rho_high in points:
+        params = replace(TABLE_DEFAULTS, impatience=gamma,
+                         utility_high=r_high, utility_low=r_high / 2.0)
+        menu = FeeMenu(rho_high=rho_high, rho_low=params.system_storage_per_byte)
+        outcome = sne_select(menu, TaxVector.zero(), params)
+        kinds.add(outcome.sne_kind.value)
+        dev = best_response_check(outcome, menu, TaxVector.zero(), params, grid=grid)
+        if dev is not None:
+            failures += 1
+            if len(details) < 5:
+                details.append(
+                    f"gamma={gamma:g} R_H={r_high:g} rho_high={rho_high:g}: {dev}")
+    details.insert(0, f"{len(points) - failures}/{len(points)} sweep points certified "
+                      f"(kinds seen: {sorted(kinds)})")
+    return CheckResult(failures == 0, details)
 
 
 # --- Lemma 1 vs simulator -----------------------------------------------------
@@ -257,23 +237,19 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
 def check_lemma1(replications: int = 10, horizon: float | None = None,
                  seed: int = 0) -> CheckResult:
     """Simulator waiting rates match the closed forms at stable profiles."""
-
-    def body():
-        details = []
-        all_ok = True
-        for i, (label, params, menu, profile) in enumerate(lemma1_profiles()):
-            results = validate_lemma1(params, menu, profile, replications=replications,
-                                      horizon=horizon, seed=seed + i)
-            ok = all(r.passed for r in results)
-            all_ok = all_ok and ok
-            for r in results:
-                details.append(
-                    f"{'ok ' if r.passed else 'BAD'} {label} [{r.user_type}]: "
-                    f"analytic={r.analytic:.6g} measured={r.measured:.6g} "
-                    f"ci=+/-{r.ci_half:.2g}")
-        return all_ok, details
-
-    return _timed("lemma1", body)
+    details = []
+    all_ok = True
+    for i, (label, params, menu, profile) in enumerate(lemma1_profiles()):
+        results = validate_lemma1(params, menu, profile, replications=replications,
+                                  horizon=horizon, seed=seed + i)
+        ok = all(r.passed for r in results)
+        all_ok = all_ok and ok
+        for r in results:
+            details.append(
+                f"{'ok ' if r.passed else 'BAD'} {label} [{r.user_type}]: "
+                f"analytic={r.analytic:.6g} measured={r.measured:.6g} "
+                f"ci=+/-{r.ci_half:.2g}")
+    return CheckResult(all_ok, details)
 
 
 # --- Proposition 2 (mechanism optimality) -------------------------------------
@@ -300,29 +276,25 @@ def prop2_draws(seed: int = 0, n_case1: int = 5, n_case2: int = 5) -> list[Syste
 def check_prop2(grid_points: int = 50, seed: int = 0,
                 rel_tol: float = 0.01) -> CheckResult:
     """Theorem-3 welfare matches the unconstrained grid optimum within 1%."""
-
-    def body():
-        details = []
-        passed = 0
-        draws = prop2_draws(seed)
-        for i, params in enumerate(draws):
-            mech = optimal_mechanism(params)
-            outcome = induced_outcome(mech, params)
-            w3 = social_welfare(outcome, mech.menu, mech.tax, params).total
-            oracle = unconstrained_optimum_oracle(params, grid_points=grid_points)
-            gap = abs(w3 - oracle.welfare)
-            scale = max(abs(w3), abs(oracle.welfare))
-            # a NaN oracle welfare fails too, also at a draw whose theorem welfare is 0
-            ok = math.isfinite(gap) and (gap <= rel_tol * scale or scale < 1e-15)
-            passed += ok
-            details.append(
-                f"{'ok ' if ok else 'BAD'} draw {i} case {mech.case}: "
-                f"theorem={w3:.6g} oracle={oracle.welfare:.6g} gap={gap:.2g}")
-        details.insert(0, f"{passed}/{len(draws)} draws within {rel_tol:.0%} "
-                          f"at {grid_points} points per axis")
-        return passed == len(draws), details
-
-    return _timed("prop2", body)
+    details = []
+    passed = 0
+    draws = prop2_draws(seed)
+    for i, params in enumerate(draws):
+        mech = optimal_mechanism(params)
+        outcome = induced_outcome(mech, params)
+        w3 = social_welfare(outcome, mech.menu, mech.tax, params).total
+        oracle = unconstrained_optimum_oracle(params, grid_points=grid_points)
+        gap = abs(w3 - oracle.welfare)
+        scale = max(abs(w3), abs(oracle.welfare))
+        # a NaN oracle welfare fails too, also at a draw whose theorem welfare is 0
+        ok = math.isfinite(gap) and (gap <= rel_tol * scale or scale < 1e-15)
+        passed += ok
+        details.append(
+            f"{'ok ' if ok else 'BAD'} draw {i} case {mech.case}: "
+            f"theorem={w3:.6g} oracle={oracle.welfare:.6g} gap={gap:.2g}")
+    details.insert(0, f"{passed}/{len(draws)} draws within {rel_tol:.0%} "
+                      f"at {grid_points} points per axis")
+    return CheckResult(passed == len(draws), details)
 
 
 # --- fairness -----------------------------------------------------------------
@@ -348,33 +320,30 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
         raise ValueError(f"points must be at least 2 (the one point is a "
                          f"no-generation point), got {points}")
 
-    def body():
-        details = []
-        failures = 0
-        degenerate = 0
-        grid = criterion_grid(points)
-        for params in grid:
-            mech = optimal_mechanism(params, tax_split="fairness")
-            outcome = induced_outcome(mech, params)
-            j = jain_index((outcome.payoff_high, outcome.payoff_low),
-                           (params.n_users_high, params.n_users_low))
-            if math.isnan(j):
-                if outcome.payoff_high == outcome.payoff_low == 0.0:
-                    degenerate += 1
-                    continue
-                failures += 1
+    details = []
+    failures = 0
+    degenerate = 0
+    grid = criterion_grid(points)
+    for params in grid:
+        mech = optimal_mechanism(params, tax_split="fairness")
+        outcome = induced_outcome(mech, params)
+        j = jain_index((outcome.payoff_high, outcome.payoff_low),
+                       (params.n_users_high, params.n_users_low))
+        if math.isnan(j):
+            if outcome.payoff_high == outcome.payoff_low == 0.0:
+                degenerate += 1
                 continue
-            if abs(j - 1.0) > tol:
-                failures += 1
-                if len(details) < 5:
-                    details.append(
-                        f"gamma={params.impatience:g} R_H={params.utility_high:g}: "
-                        f"jain={j!r}")
-        details.insert(0, f"{len(grid) - failures}/{len(grid)} grid points at Jain=1 "
-                          f"({degenerate} all-zero no-generation points)")
-        return failures == 0, details
-
-    return _timed("fairness", body)
+            failures += 1
+            continue
+        if abs(j - 1.0) > tol:
+            failures += 1
+            if len(details) < 5:
+                details.append(
+                    f"gamma={params.impatience:g} R_H={params.utility_high:g}: "
+                    f"jain={j!r}")
+    details.insert(0, f"{len(grid) - failures}/{len(grid)} grid points at Jain=1 "
+                      f"({degenerate} all-zero no-generation points)")
+    return CheckResult(failures == 0, details)
 
 
 # --- Corollary 2 (tax ordering) -------------------------------------------------
@@ -382,33 +351,27 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
 def check_corollary2(step: float = 1e-6) -> CheckResult:
     """The sign of q_H - q_L flips exactly where R_H - R_L crosses delta,
     over R_L from R_H down to R_H - 2e-5 in steps of `step`."""
-
-    def body():
-        params = replace(TABLE_DEFAULTS, impatience=5e-4)
-        r_high = params.utility_high
-        n_steps = int(round(2e-5 / step))
-        r_lows = r_high - step * np.arange(0, n_steps + 1)
-        sign_q = []
-        sign_delta = []
-        for r_low in r_lows:
-            p = replace(params, utility_low=float(r_low))
-            cmp = tax_comparison(p)
-            sign_q.append(cmp.q_high - cmp.q_low < 0)
-            sign_delta.append(r_high - r_low < cmp.delta)
-        details = []
-        # the two predicates must agree pointwise and both must flip in-range
-        agree = all(a == b for a, b in zip(sign_q, sign_delta))
-        flipped = (True in sign_q) and (False in sign_q)
-        flip_q = next((i for i in range(1, len(sign_q)) if sign_q[i] != sign_q[i - 1]), None)
-        flip_d = next((i for i in range(1, len(sign_delta))
-                       if sign_delta[i] != sign_delta[i - 1]), None)
-        details.append(f"predicates agree at all {len(r_lows)} points: {agree}")
-        details.append(f"sign flip within swept range: {flipped} "
-                       f"(q at step {flip_q}, delta at step {flip_d}, step={step:g})")
-        passed = agree and flipped and flip_q == flip_d
-        return passed, details
-
-    return _timed("corollary2", body)
+    params = replace(TABLE_DEFAULTS, impatience=5e-4)
+    r_high = params.utility_high
+    n_steps = int(round(2e-5 / step))
+    r_lows = r_high - step * np.arange(0, n_steps + 1)
+    sign_q = []
+    sign_delta = []
+    for r_low in r_lows:
+        p = replace(params, utility_low=float(r_low))
+        cmp = tax_comparison(p)
+        sign_q.append(cmp.q_high - cmp.q_low < 0)
+        sign_delta.append(r_high - r_low < cmp.delta)
+    # the two predicates must agree pointwise and both must flip in-range
+    agree = all(a == b for a, b in zip(sign_q, sign_delta))
+    flipped = (True in sign_q) and (False in sign_q)
+    flip_q = next((i for i in range(1, len(sign_q)) if sign_q[i] != sign_q[i - 1]), None)
+    flip_d = next((i for i in range(1, len(sign_delta))
+                   if sign_delta[i] != sign_delta[i - 1]), None)
+    return CheckResult(agree and flipped and flip_q == flip_d, [
+        f"predicates agree at all {len(r_lows)} points: {agree}",
+        f"sign flip within swept range: {flipped} "
+        f"(q at step {flip_q}, delta at step {flip_d}, step={step:g})"])
 
 
 # each suite's keyword defaults are the options it takes: a suite without a

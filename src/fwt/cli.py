@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -307,8 +308,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    start = time.perf_counter()
     result = run_suite(args.suite, budget=args.budget, seed=args.seed)
-    lines = [result.summary()] + ["  " + d for d in result.details]
+    status = "PASS" if result.passed else "FAIL"
+    lines = [f"{status} {args.suite} ({time.perf_counter() - start:.1f}s)"]
+    lines += ["  " + d for d in result.details]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 

@@ -173,9 +173,10 @@ class RatePair:
     def total(self) -> float:
         return self.rate_high + self.rate_low
 
-    def feasible(self, params: SystemParams, slack: float = 1e-12) -> bool:
-        """Generation-rate constraint: rate_high + rate_low <= mu/N."""
-        return self.total <= params.max_rate_per_user * (1.0 + slack)
+    def feasible(self, params: SystemParams) -> bool:
+        """Generation-rate constraint: rate_high + rate_low <= mu/N, with a
+        relative slack of 1e-12 for rounding."""
+        return self.total <= params.max_rate_per_user * (1.0 + 1e-12)
 
 
 class SneKind(Enum):

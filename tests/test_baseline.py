@@ -94,7 +94,7 @@ def test_own_rate_matches_baseline_reference_on_fee_grid(table_params, other_fi)
     """The array path, as the whole-grid reference calls it: every fee of
     the grid with a positive margin, behind a competitor at one grid fee."""
     p = table_params
-    grid = _fee_grid(p, 200)
+    grid = _fee_grid(p)
     mu = p.block_rate
     margin = p.utility_high - p.mean_tx_size * grid
     above = np.where(np.arange(200) < other_fi, 6.0, 0.0)
@@ -209,7 +209,10 @@ def _best_response_state(n_own, n_other, gamma, points, r_frac, fi_pick, load_fr
     first/middle/last index and its load as a fraction of mu."""
     p = replace(SystemParams(), impatience=gamma, n_users_high=n_own,
                 n_users_low=n_other)
-    grid = _fee_grid(p, points)
+    # `_fee_grid`'s span at `points` fees: C_s up to 2 R_H / sbar, which is
+    # above C_s at the default utilities
+    grid = np.linspace(p.storage_cost_per_byte, 2.0 * p.utility_high / p.mean_tx_size,
+                       points)
     other_fi = {"first": 0, "middle": points // 2, "last": points - 1}[fi_pick]
     r_n = r_frac * p.mean_tx_size * float(grid[-1])
     return r_n, n_own, other_fi, load_frac * p.block_rate, grid, p
@@ -411,7 +414,7 @@ def test_state_metrics_matches_reference_on_any_state(fees, rates, gamma, counts
     shared fee, idle types, gamma = 0 and a saturated queue."""
     p = replace(SystemParams(), impatience=gamma, n_users_high=counts[0],
                 n_users_low=counts[1])
-    grid = _fee_grid(p, fwt.baseline.FEE_GRID_POINTS)
+    grid = _fee_grid(p)
     cap = p.max_rate_per_user
     state = (fees[0], rates[0] * cap, fees[1], rates[1] * cap)
     scb = p.system_storage_per_byte

@@ -169,3 +169,43 @@ def test_pool_rejects_duplicates_and_sorts():
         TxPool([tx(0, 0), tx(0, 0, t=1.0)])
     pool = TxPool([tx(1, 0, t=2.0), tx(0, 0, t=1.0)])
     assert [t.user_id for t in pool] == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    txs=st.lists(st.tuples(st.floats(1.0, 1000.0), st.floats(0.0, 3e-9)),
+                 min_size=1, max_size=12),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_check_miner_nash_gain_is_the_payoff_change(txs, weights, data):
+    """The checker's gain alpha_m * (net(b) - net(a)) is the change in
+    `miner_payoff` when miner m alone switches from a to b, on pools of
+    mixed sizes with fees on both sides of C_s; and when it reports no
+    deviation, no single miner's switch to any option raises its payoff."""
+    alpha = [w / math.fsum(weights) for w in weights]
+    alpha[-1] = 1.0 - math.fsum(alpha[:-1])
+    p = replace(SystemParams(), n_miners=len(alpha), mining_power=tuple(alpha),
+                storage_cost_per_byte=1e-9)
+    pool = TxPool([tx(i, 0, size=s, fee=f, t=float(i)) for i, (s, f) in enumerate(txs)])
+    options = [None] + list(pool)
+    profile = [options[data.draw(st.integers(0, len(pool)), label=f"miner {m}")]
+               for m in range(p.n_miners)]
+    # no payoff term exceeds this, so the rounding of a payoff difference
+    # stays far below 1e-12 of it
+    scale = max(t.size_bytes * max(t.fee_per_byte, p.storage_cost_per_byte) for t in pool)
+
+    def change(m, option):
+        switched = list(profile)
+        switched[m] = option
+        return miner_payoff(m, switched, p, pool) - miner_payoff(m, profile, p, pool)
+
+    dev = check_miner_nash(profile, pool, p)
+    if dev is not None:
+        assert dev.gain > 0.0
+        assert math.isclose(dev.gain, change(dev.miner, dev.deviation),
+                            rel_tol=1e-9, abs_tol=1e-12 * scale)
+    else:
+        for m in range(p.n_miners):
+            for option in options:
+                assert change(m, option) <= 1e-12 * scale, (m, option)

@@ -51,8 +51,7 @@ def test_validate_against_simulator_prints_lemma1_suite(capsys, monkeypatch, fai
     miss of the simulator."""
     script = _load_script("validate_against_simulator")
     if fail:
-        failed = CheckResult(name="lemma1", passed=False,
-                             details=["BAD profile [H]: measured off"], duration_s=0.0)
+        failed = CheckResult(passed=False, details=["BAD profile [H]: measured off"])
         monkeypatch.setattr(script, "check_lemma1", lambda **kw: failed)
     code = script.main(["--replications", "2", "--horizon", "50", "--seed", "0"])
     lines = capsys.readouterr().out.splitlines()

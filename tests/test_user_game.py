@@ -14,7 +14,6 @@ from fwt.model import FeeMenu, RatePair, SneKind, StrategyProfile, SystemParams,
 from fwt.queue import InvariantError, split_roles
 from fwt.user_game import (
     _accumulated_wait_rate,
-    _delta,
     _pi_rates,
     best_response_check,
     sne_select,
