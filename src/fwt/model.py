@@ -121,15 +121,15 @@ def require_valid(p: SystemParams) -> SystemParams:
 
 @dataclass(frozen=True)
 class FeeMenu:
-    """The designer's two fee-per-byte choices, rho_high > rho_low >= 0."""
+    """The designer's two fee-per-byte choices, inf > rho_high > rho_low >= 0."""
 
     rho_high: float
     rho_low: float
 
     def __post_init__(self):
-        if not (self.rho_high > self.rho_low >= 0.0):
+        if not (math.inf > self.rho_high > self.rho_low >= 0.0):
             raise ValueError(
-                f"fee menu requires rho_high > rho_low >= 0, "
+                f"fee menu requires inf > rho_high > rho_low >= 0, "
                 f"got ({self.rho_high}, {self.rho_low})"
             )
 

@@ -8,13 +8,14 @@ Serves as the independent oracle for the waiting-time formulas, user
 payoffs and welfare.
 
 Method: every block includes one transaction and each fee class is FIFO,
-so each class is a Lindley reflected walk over its arrivals and the blocks
-it may use, solved in closed form by `_fifo_served`. The high class runs
-on every block; the low class runs on the blocks the high class left
-empty. A class whose fee is below the storage cost is never served, and
-its arrivals stay pending until the horizon (censored). Tie rule: a block
-sees only the transactions generated strictly before it, and equal
-generation times queue in user order.
+so each class is a Lindley reflected walk over its arrivals: an arrival
+leaves on the later of the first block after it and the block after its
+predecessor's, a running maximum that `_fifo_served` takes over the
+arrivals alone. The high class runs on every block; the low class runs on
+the blocks the high class left empty. A class whose fee is below the
+storage cost is never served, and its arrivals stay pending until the
+horizon (censored). Tie rule: a block sees only the transactions generated
+strictly before it, and equal generation times queue in user order.
 
 Confidence intervals: each mean over replications carries a 95% Student-t
 half-width. The t quantile is computed here with the math module and numpy
@@ -113,20 +114,17 @@ def _fifo_served(arrivals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
     `arrivals` and `blocks` are sorted times, and the i-th returned block
     serves the i-th arrival. A block sees only the arrivals strictly before
-    it. With A_k arrivals before block k (0-based), the departures after
-    block k are D_k = k + min(1, min_{j<=k} (A_j - j)), Lindley's reflected
-    walk, so block k serves exactly when D_k > D_{k-1}.
+    it. With J_i the first block after arrival i, arrival i is served by
+    S_i = max(J_i, S_{i-1} + 1) = i + max_{j<=i} (J_j - j), Lindley's
+    reflected walk over the arrivals. S is strictly increasing, so the
+    served arrivals are the prefix with S_i < len(blocks).
     """
-    k = np.arange(len(blocks))
-    walk = np.searchsorted(arrivals, blocks, side="left")
-    np.subtract(walk, k, out=walk)
-    np.minimum.accumulate(walk, out=walk)
-    np.minimum(walk, 1, out=walk)
-    np.add(walk, k, out=walk)
-    # D_k - D_{k-1}, with D_{-1} = 0, written over k
-    np.subtract(walk[1:], walk[:-1], out=k[1:])
-    k[:1] = walk[:1]
-    return np.flatnonzero(k)
+    served = np.searchsorted(blocks, arrivals, side="right")
+    k = np.arange(len(arrivals))
+    np.subtract(served, k, out=served)
+    np.maximum.accumulate(served, out=served)
+    np.add(served, k, out=served)
+    return served[:np.searchsorted(served, len(blocks))]
 
 
 @dataclass
@@ -161,17 +159,19 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
     n_blocks = len(block_times)
     times, counts = _poisson_arrivals(gen, config.user_rates().ravel(), horizon)
     user, cls = np.divmod(np.repeat(np.arange(2 * n), counts), 2)
-    by_time = np.argsort(times, kind="stable")   # ties in user order
 
     # the high class runs on every block, the low class on the blocks left
     served_tx = np.full(n_blocks, -1)
     unserved = []
+    fees = Fraction(0)      # each class pays one amount: an exact total
     free = np.arange(n_blocks)
-    for c, ok in enumerate((menu.rho_high >= c_s, menu.rho_low >= c_s)):
-        fifo = by_time[cls[by_time] == c]
-        served = _fifo_served(times[fifo], block_times[free]) if ok else free[:0]
+    for c, rho in enumerate((menu.rho_high, menu.rho_low)):
+        fifo = np.flatnonzero(cls == c)
+        fifo = fifo[np.argsort(times[fifo], kind="stable")]   # ties in user order
+        served = _fifo_served(times[fifo], block_times[free]) if rho >= c_s else free[:0]
         served_tx[free[served]] = fifo[:len(served)]
         unserved.append(fifo[len(served):])
+        fees += Fraction(sbar * rho) * len(served)
         free = np.delete(free, served)
 
     t_start = config.warmup * horizon
@@ -179,14 +179,13 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
     block = np.flatnonzero(served_tx >= 0)      # serving blocks in block order
     blocks_empty = n_blocks - len(block)
     tx = served_tx[block]
-    amount = sbar * np.where(cls[tx] == 0, menu.rho_high, menu.rho_low)
     post = times[tx] >= t_start
-    block, tx, post_amount = block[post], tx[post], amount[post]
+    block, tx = block[post], tx[post]
     payer = user[tx]
     incl_cnt = np.bincount(payer, minlength=n).astype(float)
     wait_sum = np.bincount(payer, block_times[block] - times[tx], minlength=n)
-    fee_paid = np.bincount(payer, post_amount, minlength=n)
-    size_incl = np.bincount(payer, np.full(len(tx), float(sbar)), minlength=n)
+    amount = sbar * np.where(cls[tx] == 0, menu.rho_high, menu.rho_low)
+    fee_paid = np.bincount(payer, amount, minlength=n)
 
     left = np.concatenate(unserved)
     left = left[times[left] >= t_start]
@@ -213,7 +212,7 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
     wait_rate = wait_sum / window
 
     fee_window_total = float(fee_paid.sum())
-    storage_total = params.n_miners * c_s * float(size_incl.sum())
+    storage_total = params.n_miners * c_s * (sbar * len(tx))
     welfare = float(payoff.sum()) + (fee_window_total - storage_total) / window
 
     # Transfer totals, each correctly rounded. User u pays incl_cnt[u] *
@@ -242,7 +241,7 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
         wait_rate=wait_rate,
         payoff=payoff,
         welfare=welfare,
-        fees_total=math.fsum(amount.tolist()),
+        fees_total=float(fees),
         taxes_total=taxes_total,
         blocks_total=n_blocks,
         blocks_empty=blocks_empty,

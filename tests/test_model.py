@@ -70,6 +70,9 @@ def test_fee_menu_ordering_enforced():
         FeeMenu(rho_high=1.0, rho_low=1.0)
     with pytest.raises(ValueError):
         FeeMenu(rho_high=1.0, rho_low=-0.5)
+    # an infinite fee has no exact fee total in the simulator's ledger
+    with pytest.raises(ValueError):
+        FeeMenu(rho_high=math.inf, rho_low=0.0)
 
 
 def test_tax_row_sums():

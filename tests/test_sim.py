@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -157,17 +157,34 @@ def test_per_user_override_deviation_measurement():
     assert measured == pytest.approx(w_dev, rel=0.05)
 
 
+STABLE = StrategyProfile(RatePair(1.5, 1.0), RatePair(1.0, 1.5))
 SATURATED = StrategyProfile(RatePair(6.0, 2.0), RatePair(3.0, 4.0))   # load = mu
 
 
+def _whole_seconds(draw):
+    """`draw` with every time rounded up to a whole second."""
+    def rounded(gen, rates, horizon):
+        times, counts = draw(gen, rates, horizon)
+        return np.ceil(times), counts
+    return rounded
+
+
 @pytest.mark.parametrize("menu", [BOTH_OK, HIGH_ONLY], ids=["both", "high_only"])
-@pytest.mark.parametrize("prof", [
-    StrategyProfile(RatePair(1.5, 1.0), RatePair(1.0, 1.5)), SATURATED,
-], ids=["stable", "saturated"])
-def test_block_priority_audit_and_selection_replay(menu, prof):
+@pytest.mark.parametrize("prof,tied", [
+    (STABLE, False), (SATURATED, False), (STABLE, True), (SATURATED, True),
+], ids=["stable", "saturated", "stable_tied", "saturated_tied"])
+def test_block_priority_audit_and_selection_replay(monkeypatch, menu, prof, tied):
     """Replaying the event log: every included transaction is exactly the
     miner-game equilibrium selection for the pool standing at that block,
-    and the per-user waits rebuilt from the log are the reported ones."""
+    and the per-user waits rebuilt from the log are the reported ones.
+
+    Tied: every block and arrival time is rounded up to a whole second, so
+    blocks and the arrivals of both users and classes share instants. A
+    block then sees none of the arrivals at its own instant, and each class
+    serves equal generation times in (user_id, tx_index) order, the
+    selection's tie rule."""
+    if tied:
+        monkeypatch.setattr(sim, "_poisson_arrivals", _whole_seconds(sim._poisson_arrivals))
     cfg = config(prof, horizon=150.0, reps=1, menu=menu, log_events=True)
     report = run(cfg)
     events = report.events
@@ -176,7 +193,7 @@ def test_block_priority_audit_and_selection_replay(menu, prof):
     pool: dict[tuple, PendingTx] = {}
     wait_sum = [0.0, 0.0]
     n_gens = [0, 0]
-    n_includes = 0
+    n_includes = n_ties = 0
     for time, kind, user, tx_idx, fee, block_id, winner in events:
         if kind == "gen":
             # tx_index numbers each user's transactions in generation order
@@ -192,6 +209,9 @@ def test_block_priority_audit_and_selection_replay(menu, prof):
             # no pool transaction at the block instant beats the included fee
             top = max(t.fee_per_byte for t in pool.values())
             assert fee == top
+            # another user's transaction of the same fee and generation time
+            n_ties += any((t.fee_per_byte, t.gen_time) == (fee, pool[user, tx_idx].gen_time)
+                          and t.user_id != user for t in pool.values())
             gen_time = pool.pop((user, tx_idx)).gen_time
             if gen_time >= t_start:
                 wait_sum[user] += time - gen_time
@@ -201,6 +221,7 @@ def test_block_priority_audit_and_selection_replay(menu, prof):
             eligible = [t for t in pool.values() if t.fee_per_byte >= C_S]
             assert not eligible
     assert n_includes > 50
+    assert (n_ties > 0) == tied
     window = cfg.horizon - t_start
     assert report.user_wait_mean.tolist() == [w / window for w in wait_sum]
     # what is still pending at the horizon is censored, after the warm-up only
@@ -252,9 +273,16 @@ _int_times = st.lists(st.integers(0, 12), max_size=30).map(
 
 @settings(max_examples=400, deadline=None)
 @given(arrivals=_int_times, blocks=_int_times)
+@example(arrivals=np.array([], dtype=float), blocks=np.array([1.0, 2.0]))
+@example(arrivals=np.array([1.0, 2.0]), blocks=np.array([], dtype=float))
+@example(arrivals=np.array([5.0, 6.0, 7.0]), blocks=np.array([1.0, 2.0, 4.0]))
+@example(arrivals=np.array([0.0, 1.0, 1.0, 2.0, 3.0]), blocks=np.array([2.0, 4.0]))
+@example(arrivals=np.array([3.0, 3.0, 3.0]), blocks=np.array([1.0, 3.0, 3.0, 4.0, 5.0]))
 def test_fifo_served_matches_queue_with_ties(arrivals, blocks):
     """Integer times make arrivals fall on block instants: such a block
-    never serves the arrival at its own instant."""
+    never serves the arrival at its own instant. The examples: no arrivals,
+    no blocks, every arrival after the last block, more arrivals than
+    blocks, and every arrival on one block instant."""
     served = _fifo_served(arrivals, blocks)
     assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist())
 
