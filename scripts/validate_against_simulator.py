@@ -12,7 +12,7 @@ import math
 import sys
 
 from fwt.checks import check_lemma1
-from fwt.mechanism import induced_outcome, optimal_mechanism, social_welfare
+from fwt.mechanism import optimal_mechanism, social_welfare
 from fwt.model import SystemParams
 from fwt.sim import SimConfig, run
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     params = SystemParams()
     mech = optimal_mechanism(params)
-    out = induced_outcome(mech, params)
+    out = mech.outcome
     analytic = social_welfare(out, mech.menu, mech.tax, params)
     horizon = 1e5 / params.block_rate if args.horizon is None else args.horizon
     cfg = SimConfig(params=params, menu=mech.menu, tax=mech.tax,

@@ -184,9 +184,8 @@ def lemma1_profiles() -> list[tuple[str, SystemParams, FeeMenu, StrategyProfile]
     ]
     table2 = TABLE_DEFAULTS
     mech = optimal_mechanism(table2)
-    outcome = induced_outcome(mech, table2)
     cases.append(("optimal-mechanism SNE at evaluation defaults",
-                  table2, mech.menu, outcome.profile))
+                  table2, mech.menu, mech.outcome.profile))
     return cases
 
 
@@ -281,8 +280,7 @@ def check_prop2(grid_points: int = 50, seed: int = 0,
     draws = prop2_draws(seed)
     for i, params in enumerate(draws):
         mech = optimal_mechanism(params)
-        outcome = induced_outcome(mech, params)
-        w3 = social_welfare(outcome, mech.menu, mech.tax, params).total
+        w3 = social_welfare(mech.outcome, mech.menu, mech.tax, params).total
         oracle = unconstrained_optimum_oracle(params, grid_points=grid_points)
         gap = abs(w3 - oracle.welfare)
         scale = max(abs(w3), abs(oracle.welfare))
@@ -325,8 +323,8 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
     degenerate = 0
     grid = criterion_grid(points)
     for params in grid:
-        mech = optimal_mechanism(params, tax_split="fairness")
-        outcome = induced_outcome(mech, params)
+        # re-solved, not mech.outcome, so that a wrong entry split shows
+        outcome = induced_outcome(optimal_mechanism(params, tax_split="fairness"), params)
         j = jain_index((outcome.payoff_high, outcome.payoff_low),
                        (params.n_users_high, params.n_users_low))
         if math.isnan(j):

@@ -23,7 +23,7 @@ import numpy as np
 from .baseline import existing_equilibrium
 from .checks import SUITES, jain_index, run_suite
 from .mechanism import (
-    induced_outcome,
+    induced_outcome,  # not called here: perfbench's tracer wraps this name in fwt.cli
     optimal_mechanism,
     optimal_mechanism_hetero,
     social_welfare,
@@ -104,15 +104,10 @@ def _emit(payload: str, out: str | None):
 
 def _solve_point(params: SystemParams, tax_split: str,
                  hetero: HeteroCostParams | None):
-    """Mechanism, induced outcome and welfare; hetero swaps in mean cost."""
+    """The mechanism and the params it was solved against (hetero: mean cost)."""
     if hetero is not None:
-        mech, p_eff = optimal_mechanism_hetero(params, hetero, tax_split=tax_split)
-    else:
-        mech, p_eff = optimal_mechanism(params, tax_split=tax_split), params
-    outcome = induced_outcome(mech, p_eff)
-    welfare = social_welfare(outcome, mech.menu, mech.tax, p_eff)
-    avg_fee, fee_ok = sufficient_fee_check(outcome, p_eff)
-    return mech, p_eff, outcome, welfare, avg_fee, fee_ok
+        return optimal_mechanism_hetero(params, hetero, tax_split=tax_split)
+    return optimal_mechanism(params, tax_split=tax_split), params
 
 
 def _outcome_doc(outcome) -> dict:
@@ -130,8 +125,8 @@ def _outcome_doc(outcome) -> dict:
 def cmd_solve(args) -> int:
     params = _load_params(args)
     hetero = _parse_hetero(args.hetero, params) if args.hetero else None
-    mech, p_eff, outcome, welfare, avg_fee, fee_ok = _solve_point(
-        params, args.tax_split, hetero)
+    mech, p_eff = _solve_point(params, args.tax_split, hetero)
+    avg_fee, fee_ok = sufficient_fee_check(mech.outcome, p_eff)
     taxes = {name.upper(): value for name, value in asdict(mech.tax).items()}  # P_HH, ...
     doc = {
         "mechanism": {
@@ -144,8 +139,8 @@ def cmd_solve(args) -> int:
             # negative entries are subsidies; legal, but worth surfacing
             "negative_entries": any(e < 0 for e in taxes.values()),
         },
-        "outcome": _outcome_doc(outcome),
-        "welfare": asdict(welfare),
+        "outcome": _outcome_doc(mech.outcome),
+        "welfare": asdict(social_welfare(mech.outcome, mech.menu, mech.tax, p_eff)),
         "sufficient_fee": {
             "avg_fee_per_byte": avg_fee,
             "bound": p_eff.system_storage_per_byte,
@@ -201,8 +196,8 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
             else:
                 raise ValueError(f"unknown axis {axis!r}")
 
-            mech, p_eff, outcome, welfare, avg_fee, _ = _solve_point(
-                p, tax_split, hetero)
+            mech, p_eff = _solve_point(p, tax_split, hetero)
+            welfare = social_welfare(mech.outcome, mech.menu, mech.tax, p_eff)
             bound = p_eff.system_storage_per_byte
             # baseline miners accept at the cheapest miner's threshold;
             # welfare still charges true (possibly hetero-averaged) storage,
@@ -214,17 +209,17 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
             if existing.welfare != 0.0:
                 improvement = 100.0 * (welfare.total - existing.welfare) / abs(existing.welfare)
             row.update({
-                "fwt_avg_fee": avg_fee,
+                "fwt_avg_fee": welfare.avg_fee_per_byte,
                 "existing_avg_fee": existing.avg_fee_per_byte,
                 "storage_bound": bound,
                 "fwt_welfare": welfare.total,
                 "existing_welfare": existing.welfare,
                 "improvement_pct": improvement,
-                "fwt_payoff_h": outcome.payoff_high,
-                "fwt_payoff_l": outcome.payoff_low,
+                "fwt_payoff_h": welfare.payoff_high,
+                "fwt_payoff_l": welfare.payoff_low,
                 "existing_payoff_h": existing.payoff_high,
                 "existing_payoff_l": existing.payoff_low,
-                "fwt_jain": jain_index((outcome.payoff_high, outcome.payoff_low), counts),
+                "fwt_jain": jain_index((welfare.payoff_high, welfare.payoff_low), counts),
                 "existing_jain": jain_index((existing.payoff_high, existing.payoff_low),
                                             counts),
                 "existing_converged": existing.converged,
@@ -294,10 +289,10 @@ def _simulate_doc(report) -> dict:
 def cmd_simulate(args) -> int:
     params = _load_params(args)
     hetero = _parse_hetero(args.hetero, params) if args.hetero else None
-    mech, p_eff, outcome, _, _, _ = _solve_point(params, args.tax_split, hetero)
+    mech, p_eff = _solve_point(params, args.tax_split, hetero)
     horizon = 1e5 / p_eff.block_rate if args.horizon is None else args.horizon
     config = SimConfig(
-        params=p_eff, menu=mech.menu, tax=mech.tax, profile=outcome.profile,
+        params=p_eff, menu=mech.menu, tax=mech.tax, profile=mech.outcome.profile,
         horizon=horizon, seed=args.seed, warmup=args.warmup,
         replications=args.replications, log_events=bool(args.events))
     report = run_sim(config)

@@ -5,7 +5,10 @@ average fee-per-byte covering the system-wide storage cost per byte. The
 closed-form optimum has two cases keyed on whether the high type's on-chain
 utility clears total storage plus baseline waiting cost; a brute-force grid
 search over one shared fee and the tax row sums (without the sufficient-fee
-constraint) serves as the optimality oracle.
+constraint) serves as the optimality oracle. The Stage-II equilibrium
+depends on the tax entries only through their row sums, so it is solved
+once per mechanism and carried with it; a split rule moves the entries and
+the payoffs only.
 """
 from __future__ import annotations
 
@@ -36,13 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A fee menu plus waiting-tax vector with its per-type row sums."""
+    """A fee menu plus waiting-tax vector with its per-type row sums, and the
+    equilibrium they induce (solved at the uniform split; payoffs under `tax`)."""
 
     menu: FeeMenu
     tax: TaxVector
     q_high: float
     q_low: float
     case: int  # 1 or 2
+    outcome: SneOutcome
 
 
 def _make_menu(rho_high: float, rho_low: float) -> FeeMenu:
@@ -81,9 +86,9 @@ def _case2(params: SystemParams) -> tuple[float, float, float, float, float] | N
             margin_l - gamma * (x + g2) / (x * x))
 
 
-def _split_entries(q_high: float, q_low: float, menu: FeeMenu,
-                   params: SystemParams, method: str) -> TaxVector:
-    """Choose individual tax entries consistent with the given row sums.
+def _split_entries(uniform: TaxVector, outcome: SneOutcome, params: SystemParams,
+                   method: str) -> TaxVector:
+    """Tax entries with the row sums of `uniform`, whose equilibrium is `outcome`.
 
     The row sums pin only two of the four entries. `uniform` splits each
     row evenly over the N-1 counterparts. `fairness` additionally shifts
@@ -93,17 +98,12 @@ def _split_entries(q_high: float, q_low: float, menu: FeeMenu,
     split when no transfer instrument exists (e.g. the only generating type
     has a single user).
     """
-    n_h, n_l = params.n_users_high, params.n_users_low
-    n = n_h + n_l
-    base_h = q_high / (n - 1)
-    base_l = q_low / (n - 1)
-    uniform = TaxVector(p_hh=base_h, p_hl=base_h, p_lh=base_l, p_ll=base_l)
     if method == "uniform":
         return uniform
     if method != "fairness":
         raise ValueError(f"unknown tax split {method!r}")
 
-    outcome = sne_select(menu, uniform, params)
+    n_h, n_l, n = params.n_users_high, params.n_users_low, params.n_users
     lam_h = outcome.profile.rates_high_type.total
     lam_l = outcome.profile.rates_low_type.total
     d0 = outcome.payoff_high - outcome.payoff_low
@@ -115,10 +115,10 @@ def _split_entries(q_high: float, q_low: float, menu: FeeMenu,
     t1 = -d0 * k1 / norm
     t2 = -d0 * k2 / norm
     return TaxVector(
-        p_hh=base_h + n_l * t1,
-        p_hl=base_h - (n_h - 1) * t1,
-        p_lh=base_l + (n_l - 1) * t2,
-        p_ll=base_l - n_h * t2,
+        p_hh=uniform.p_hh + n_l * t1,
+        p_hl=uniform.p_hl - (n_h - 1) * t1,
+        p_lh=uniform.p_lh + (n_l - 1) * t2,
+        p_ll=uniform.p_ll - n_h * t2,
     )
 
 
@@ -144,8 +144,15 @@ def optimal_mechanism(params: SystemParams, tax_split: str = "fairness") -> Mech
         menu = _make_menu(params.utility_high / sbar - gamma / (sbar * mu), rho_low)
         q_high, q_low = case2[3:]
         case = 2
-    tax = _split_entries(q_high, q_low, menu, params, tax_split)
-    return Mechanism(menu=menu, tax=tax, q_high=q_high, q_low=q_low, case=case)
+    n = params.n_users
+    uniform = TaxVector(q_high / (n - 1), q_high / (n - 1), q_low / (n - 1), q_low / (n - 1))
+    outcome = sne_select(menu, uniform, params)
+    tax = _split_entries(uniform, outcome, params, tax_split)
+    if tax is not uniform:
+        outcome = replace(outcome, payoff_high=user_payoff("H", outcome, menu, tax, params),
+                          payoff_low=user_payoff("L", outcome, menu, tax, params))
+    return Mechanism(menu=menu, tax=tax, q_high=q_high, q_low=q_low, case=case,
+                     outcome=outcome)
 
 
 def optimal_mechanism_hetero(params: SystemParams, hc: HeteroCostParams,
@@ -162,7 +169,9 @@ def optimal_mechanism_hetero(params: SystemParams, hc: HeteroCostParams,
 
 
 def induced_outcome(mech: Mechanism, params: SystemParams) -> SneOutcome:
-    """Stage-II equilibrium induced by a mechanism, with its payoffs."""
+    """Stage-II equilibrium re-solved under the mechanism's final entries:
+    an independent check of `mech.outcome`, whose rates it matches up to
+    the rounding of the entries' row sums."""
     return sne_select(mech.menu, mech.tax, params)
 
 

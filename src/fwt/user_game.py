@@ -41,7 +41,7 @@ def _accumulated_wait_rate(l1, l2, agg1, agg2, high_ok: bool, low_ok: bool, mu: 
     system-wide rates including this user. high_ok/low_ok say whether each
     fee class clears the miners' acceptance threshold. Each class adds the
     user's rate times the class sojourn: nothing without own traffic, inf
-    when the class is refused or saturated. Scalar or array.
+    when the class is refused or saturated. Scalar or array; numpy result.
     """
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
@@ -51,10 +51,7 @@ def _accumulated_wait_rate(l1, l2, agg1, agg2, high_ok: bool, low_ok: bool, mu: 
         t1 = np.where(high_ok & (agg1 < mu), l1 * sojourn(mu, 0.0, agg1), np.inf)
         t2 = np.where(low_ok & (agg1 < mu) & (tot < mu),
                       l2 * sojourn(mu, agg1, tot), np.inf)
-        w = np.where(l1 > 0, t1, 0.0) + np.where(l2 > 0, t2, 0.0)
-    if w.ndim == 0:
-        return float(w)
-    return w
+        return np.where(l1 > 0, t1, 0.0) + np.where(l2 > 0, t2, 0.0)
 
 
 def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
@@ -67,10 +64,10 @@ def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
     own = profile.rates_for(user_type)
     agg1, agg2 = profile.aggregate(params)
     c_s = params.storage_cost_per_byte
-    return _accumulated_wait_rate(
+    return float(_accumulated_wait_rate(
         own.rate_high, own.rate_low, agg1, agg2,
         menu.rho_high >= c_s, menu.rho_low >= c_s, params.block_rate,
-    )
+    ))
 
 
 # --- SNE generation rates ---------------------------------------------------

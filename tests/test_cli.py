@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fwt.cli
+import fwt.mechanism
 from fwt.checks import criterion_grid, jain_index
 from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
 from fwt.model import SystemParams
@@ -392,6 +393,23 @@ def test_simulate_deterministic(capsys):
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("tax_split", ["fairness", "uniform"])
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["solve", "--hetero", "ratio=5"], ["sweep", "--axis", "gamma", "--steps", "1"],
+    ["simulate", "--horizon", "50", "--replications", "2"]],
+    ids=["solve", "solve_hetero", "sweep", "simulate"])
+def test_one_stage_two_solve_per_point(capsys, monkeypatch, argv, tax_split):
+    """The mechanism's own solve is the only Stage-II solve of a point (the
+    sweep is a one-point `sweep_rows`)."""
+    calls = []
+    sne_select = fwt.mechanism.sne_select
+    monkeypatch.setattr(fwt.mechanism, "sne_select",
+                        lambda *args: calls.append(args) or sne_select(*args))
+    code, _, _ = run_cli(argv + ["--tax-split", tax_split], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_check_corollary2_passes(capsys):

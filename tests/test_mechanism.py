@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fwt.checks import check_prop2, criterion_grid, prop2_draws
+import fwt.mechanism
+from fwt.checks import check_fairness, check_prop2, criterion_grid, prop2_draws
 from fwt.mechanism import (
     _case2,
     induced_outcome,
@@ -143,6 +144,69 @@ def test_rates_invariant_to_entry_split(table_params):
         unif.profile.rates_high_type.rate_low, rel=1e-9)
     assert fair.profile.rates_low_type.rate_low == pytest.approx(
         unif.profile.rates_low_type.rate_low, rel=1e-9)
+
+
+def _split_points():
+    defaults = SystemParams()
+    points = criterion_grid(8) + prop2_draws(17)
+    points += [defaults, replace(defaults, impatience=0.0),
+               replace(defaults, n_users_high=1)]
+    points += [replace(defaults, n_users_high=n // 2, n_users_low=n // 2)
+               for n in (153_000, 537_000)]
+    return points
+
+
+@pytest.mark.parametrize("tax_split", ["fairness", "uniform"])
+def test_one_stage_two_solve_per_mechanism(monkeypatch, tax_split):
+    """Either split is made from one `sne_select` solve."""
+    calls = []
+    monkeypatch.setattr(fwt.mechanism, "sne_select",
+                        lambda *args: calls.append(args) or sne_select(*args))
+    for p in (SystemParams(), replace(SystemParams(), impatience=0.0),
+              replace(SystemParams(), utility_high=5e-4, utility_low=2.5e-4)):
+        calls.clear()
+        optimal_mechanism(p, tax_split)
+        assert len(calls) == 1
+
+
+def test_carried_outcome_does_not_depend_on_the_split():
+    """Rates, kind, fee and waits agree bit for bit (repr tells 0.0 from
+    -0.0); only the entries and the payoffs follow the split."""
+    def solved(o):
+        return repr((o.profile, o.sne_kind, o.fee_used, o.waiting_rate_high,
+                     o.waiting_rate_low))
+
+    for p in _split_points():
+        fair = optimal_mechanism(p, "fairness")
+        unif = optimal_mechanism(p, "uniform")
+        assert solved(fair.outcome) == solved(unif.outcome), p
+        assert (fair.q_high, fair.q_low) == (unif.q_high, unif.q_low)
+
+
+@pytest.mark.parametrize("tax_split", ["fairness", "uniform"])
+def test_carried_outcome_certified_by_independent_solves(tax_split):
+    """The best-response grid finds no deviation from the carried outcome,
+    and a re-solve under the final entries selects the same equilibrium."""
+    for p in _split_points():
+        mech = optimal_mechanism(p, tax_split)
+        out = mech.outcome
+        assert best_response_check(out, mech.menu, mech.tax, p) is None, p
+        again = induced_outcome(mech, p)
+        assert (again.sne_kind, again.fee_used) == (out.sne_kind, out.fee_used)
+        for t in ("H", "L"):
+            assert again.profile.rates_for(t).total == pytest.approx(
+                out.profile.rates_for(t).total, rel=1e-9)
+        assert (again.payoff_high, again.payoff_low) == pytest.approx(
+            (out.payoff_high, out.payoff_low), rel=1e-9)
+
+
+def test_fairness_check_fails_without_the_fairness_shift(monkeypatch):
+    """check_fairness re-solves, so the uniform entries, which miss equal
+    payoffs, fail it."""
+    assert check_fairness(points=4).passed
+    monkeypatch.setattr(fwt.mechanism, "_split_entries",
+                        lambda uniform, outcome, params, method: uniform)
+    assert not check_fairness(points=4).passed
 
 
 def test_welfare_identity_and_tax_invariance(table_params):

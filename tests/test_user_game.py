@@ -477,8 +477,8 @@ def _reference_user_payoff(user_type, outcome, menu, tax, params):
     if incl_lo:
         payoff = payoff + own.rate_low * (r_n - sbar * menu.rho_low - q_out)
     if gamma != 0.0:
-        payoff = payoff - gamma * _accumulated_wait_rate(
-            own.rate_high, own.rate_low, agg1, agg2, incl_hi, incl_lo, params.block_rate)
+        payoff = payoff - gamma * float(_accumulated_wait_rate(
+            own.rate_high, own.rate_low, agg1, agg2, incl_hi, incl_lo, params.block_rate))
 
     rates_h = outcome.profile.rates_high_type
     rates_l = outcome.profile.rates_low_type
