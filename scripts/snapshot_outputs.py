@@ -10,16 +10,23 @@ directories, so a claim of unchanged output is one `diff -r`:
 
 The commands are `fwt solve` variants, the evaluation sweeps, two seeded
 `fwt simulate` runs with their event logs, and every `fwt check` suite,
-written as its pass flag and detail lines. Only
-`fwt.cli.main` and `fwt.checks.run_suite` are used, so the script runs
-against any tree that has them.
+written as its pass flag and detail lines. `oracle.txt` holds the `repr`
+of every field of the welfare grid oracle's result at 50 points for
+`prop2_draws(0)`, `prop2_draws(1, 12, 13)` and the defaults, which the
+checks print only to six digits. Only `fwt.cli.main`,
+`fwt.checks.run_suite`, `fwt.checks.prop2_draws`,
+`fwt.mechanism.unconstrained_optimum_oracle` and `fwt.model.SystemParams`
+are used, so the script runs against any tree that has them.
 """
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from fwt.checks import SUITES, run_suite
+from fwt.checks import SUITES, prop2_draws, run_suite
 from fwt.cli import main as fwt_main
+from fwt.mechanism import unconstrained_optimum_oracle
+from fwt.model import SystemParams
 from run_evaluation_sweeps import COST_RATIO_PARAMS, STEPS
 
 # (output file, fwt argv); "{events}" becomes the path of the file's event log
@@ -46,6 +53,17 @@ COMMANDS += [
                                "--events", "{events}"]),
 ]
 CHECKS = sorted(SUITES)
+ORACLE_POINTS = ([(f"prop2_draws(0)[{i}]", p) for i, p in enumerate(prop2_draws(0))]
+                 + [(f"prop2_draws(1, 12, 13)[{i}]", p)
+                    for i, p in enumerate(prop2_draws(1, 12, 13))]
+                 + [("defaults", SystemParams())])
+
+
+def oracle_lines():
+    for label, params in ORACLE_POINTS:
+        result = unconstrained_optimum_oracle(params, grid_points=50)
+        yield label + ": " + " ".join(f"{field.name}={getattr(result, field.name)!r}"
+                                      for field in dataclasses.fields(result))
 
 
 def main(argv=None):
@@ -69,6 +87,9 @@ def main(argv=None):
         result = run_suite(suite)
         path.write_text("\n".join([f"passed: {result.passed}"] + result.details) + "\n")
         print(path)
+    path = out_dir / "oracle.txt"
+    path.write_text("\n".join(oracle_lines()) + "\n")
+    print(path)
     return 0
 
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from .model import (FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector,
                     require_valid)
-from .queue import by_role, split_roles, welfare_rate
-from .user_game import SneOutcome, _rates_at, sne_select, user_payoff
+from .queue import InvariantError, by_role, split_roles, welfare_rate
+from .user_game import (SneOutcome, _both_rates, _only_b_rates, _rates_at, sne_select,
+                        user_payoff)
 
 __all__ = [
     "Mechanism",
@@ -35,6 +36,11 @@ __all__ = [
     "unconstrained_optimum_oracle",
     "tax_comparison",
 ]
+
+# fee rows of the welfare table evaluated together: at 50 points the
+# both-types temporaries of 5 rows stay in cache, where 4, 10 or all 50 rows
+# ran slower
+_FEE_BLOCK = 5
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,60 @@ class OracleResult:
     rate_low_type: float
 
 
+def _welfare_table(params: SystemParams,
+                   grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's fee axis on [0, 1.5*R_H/sbar], row-sum axis on
+    [-R_H, R_H] and table W[f, cell]: the welfare when everyone uses fee f,
+    with zero rates at a refused fee, at the row sums (q[i], q[j]) of
+    cell = i * grid_points + j.
+
+    Each Stage-II branch is evaluated over the grid it varies on. Nobody
+    generating and only B generating depend on the fee and B's own row sum
+    alone, so `_only_b_rates` and the welfare there are evaluated once on
+    the (fee x 2*gp row-sum) plane, whose first gp columns have B = H and
+    the rest B = L. Each cell gathers its entry, and whether S joins, through
+    one fee-independent index. `_both_rates` and its welfare then run only on
+    the cells that take that branch, `_FEE_BLOCK` fee rows at a time.
+    """
+    r_h, r_l = params.utility_high, params.utility_low
+    n_h, n_l = params.n_users_high, params.n_users_low
+    scb = params.system_storage_per_byte
+    gp = grid_points
+    fee_grid = np.linspace(0.0, 1.5 * r_h / params.mean_tx_size, gp)
+    q_grid = np.linspace(-r_h, r_h, gp)
+    n_cells = gp * gp
+    plane_h = np.concatenate([r_h - q_grid, r_l - q_grid])
+    plane_b_is_high = np.arange(2 * gp) < gp
+    plane_n_b, plane_n_s = by_role(plane_b_is_high, float(n_h), float(n_l))
+    i, j = np.divmod(np.arange(n_cells), gp)
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(plane_h[i], plane_h[gp + j], float(n_h),
+                                                float(n_l))
+    b_column = np.where(b_is_high, i, gp + j)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        active, pi_b, threshold = _only_b_rates(plane_h, fee_grid[:, None], plane_n_b,
+                                                plane_n_s, params)
+        # a refused fee supports no generation
+        active &= (fee_grid >= params.storage_cost_per_byte)[:, None]
+        pi_b = np.where(active, pi_b, 0.0)
+        # S sends 0 on the plane, and its n*0*a welfare term adds exactly
+        plane_welfare = welfare_rate(*by_role(plane_b_is_high, pi_b, 0.0), params, scb)
+
+        table = np.empty((gp, n_cells))
+        for start in range(0, gp, _FEE_BLOCK):
+            rows = slice(start, start + _FEE_BLOCK)
+            block = table[rows]
+            np.take(plane_welfare[rows], b_column, axis=1, out=block)
+            both = np.flatnonzero(np.take(active[rows], b_column, axis=1)
+                                  & ~(h_s <= np.take(threshold[rows], b_column, axis=1)))
+            f, c = np.divmod(both, n_cells)
+            pi_b, pi_s = _both_rates(h_b[c], h_s[c], fee_grid[rows][f], n_b[c], n_s[c],
+                                     params, True)
+            block.reshape(-1)[both] = welfare_rate(*by_role(b_is_high[c], pi_b, pi_s),
+                                                   params, scb)
+    return fee_grid, q_grid, table
+
+
 def unconstrained_optimum_oracle(params: SystemParams,
                                  grid_points: int = 50) -> OracleResult:
     """Grid-maximize welfare over one fee and the tax row sums, ignoring the
@@ -260,42 +320,40 @@ def unconstrained_optimum_oracle(params: SystemParams,
     the fee 0 is refused, so menu (f, 0) realises that point; at C_s = 0
     it bounds every menu's welfare from above.
 
-    The table W[f, cell] holds the welfare when everyone uses fee f, with
-    zero rates at a refused fee. The winner is the first maximum in
-    (fee, cell) order, so a NaN cell becomes the welfare and surfaces in
-    the caller's check.
+    The table W[f, cell] (`_welfare_table`) holds the welfare when everyone
+    uses fee f. Its branches split unevenly: over the 3,125,000 cells of
+    `prop2_draws(1, 12, 13)` at 50 points, 2.0% sit at a refused fee, 25.8%
+    have nobody generating, 43.1% only B and 29.1% both types. So the table
+    is evaluated branch by branch, over the grid each branch varies on.
+    The winner is the first maximum in (fee, cell) order, so a NaN cell
+    becomes the welfare and surfaces in the caller's check. Its rates are
+    solved again through `_rates_at` from its own row sums, and an
+    `InvariantError` is raised unless their welfare is the table's entry.
     """
     require_valid(params)
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2 (a one-point fee axis "
                          f"holds only fee 0), got {grid_points}")
-    r_h, r_l = params.utility_high, params.utility_low
-    sbar = params.mean_tx_size
+    fee_grid, q_grid, table = _welfare_table(params, grid_points)
 
-    fee_grid = np.linspace(0.0, 1.5 * r_h / sbar, grid_points)
-    q_grid = np.linspace(-r_h, r_h, grid_points)
-    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
+    f, k = np.unravel_index(int(np.argmax(table)), table.shape)
+    i, j = divmod(int(k), grid_points)
     b_is_high, h_b, h_s, n_b, n_s = split_roles(
-        (r_h - qh).ravel(), (r_l - ql).ravel(), params.n_users_high, params.n_users_low)
-
-    welfare = np.empty((grid_points, h_b.size))
-    for f, fee in enumerate(fee_grid.tolist()):
-        pi_b, pi_s = _rates_at(h_b, h_s, fee, n_b, n_s, params)
-        lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
-        welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
-
-    f, k = np.unravel_index(int(np.argmax(welfare)), welfare.shape)
-    cell = slice(k, k + 1)
-    pi_b, pi_s = _rates_at(h_b[cell], h_s[cell], float(fee_grid[f]), n_b[cell],
-                           n_s[cell], params)
-    lam_h, lam_l = by_role(b_is_high[k], pi_b[0], pi_s[0])
+        params.utility_high - q_grid[i:i + 1], params.utility_low - q_grid[j:j + 1],
+        params.n_users_high, params.n_users_low)
+    pi_b, pi_s = _rates_at(h_b, h_s, float(fee_grid[f]), n_b, n_s, params)
+    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
+    welfare = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
+    if not np.array_equal(welfare, table[f, k:k + 1], equal_nan=True):
+        raise InvariantError(f"welfare table entry {float(table[f, k])!r} at fee row {f}, "
+                             f"cell {k} is not its rates' welfare {float(welfare[0])!r}")
     return OracleResult(
-        welfare=float(welfare[f, k]),
+        welfare=float(table[f, k]),
         fee=float(fee_grid[f]),
-        q_high=float(qh.flat[k]),
-        q_low=float(ql.flat[k]),
-        rate_high_type=float(lam_h),
-        rate_low_type=float(lam_l),
+        q_high=float(q_grid[i]),
+        q_low=float(q_grid[j]),
+        rate_high_type=float(lam_h[0]),
+        rate_low_type=float(lam_l[0]),
     )
 
 

@@ -3,8 +3,9 @@
 Per-user waiting over the fee-priority queue of `fwt.queue`, the
 symmetric-equilibrium generation rates, the high-fee/low-fee equilibrium
 selection with its waits and payoffs, and a grid best-response oracle that
-certifies the closed forms. The per-fee cores accept numpy arrays so the
-mechanism grid oracle can evaluate thousands of points per call.
+certifies the closed forms. The rate kernels, one per branch in which a
+type generates, accept numpy arrays, so the mechanism's grid oracle
+evaluates each branch over thousands of points per call.
 """
 from __future__ import annotations
 
@@ -72,57 +73,66 @@ def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
 
 # --- SNE generation rates ---------------------------------------------------
 
-def _pi_rates(h_b, h_s, rho: float, n_b, n_s, params: SystemParams):
-    """Equilibrium per-user rates (pi_B, pi_S) at a single active fee.
+def _only_b_rates(h_b, rho, n_b, n_s, params: SystemParams):
+    """Type B's branch at fee rho: (active, pi_B, threshold), array-capable.
 
-    Three branches: nobody generates, only type B generates, both types
-    generate. Scalar or array inputs for h_b/h_s/n_b/n_s; array outputs.
+    B is active when its net utility clears the entry bar sbar*rho +
+    gamma/mu; alone it sends at the `own_rate` root, capped at mu/N, and
+    pi_B is 0 where it is not active. S joins where its net utility is
+    above `threshold`, the bar at the capacity B leaves. At gamma = 0 the
+    bars are sbar*rho and B sends at the cap. Callers silence numpy's
+    floating-point warnings: the inactive entries divide by zero.
     """
     gamma = params.impatience
     mu = params.block_rate
-    sbar = params.mean_tx_size
+    s_rho = params.mean_tx_size * rho
+    active = ~(h_b <= s_rho + gamma / mu)
+    only_b = np.minimum(own_rate(n_b, h_b - s_rho, gamma, mu, active), mu / (n_b + n_s))
+    threshold = s_rho + gamma / (mu - n_b * only_b)
+    return active, np.where(active, np.maximum(only_b, 0.0), 0.0), threshold
+
+
+def _both_rates(h_b, h_s, rho, n_b, n_s, params: SystemParams, selected):
+    """Both types' per-user rates (pi_B, pi_S) where both generate at fee
+    rho, array-capable; the square roots are checked on the `selected`
+    entries. With waiting costless (gamma = 0) both send at the cap.
+    """
+    gamma = params.impatience
+    mu = params.block_rate
+    s_rho = params.mean_tx_size * rho
+    n_tot = n_b + n_s
+    cap = mu / n_tot
+    if gamma == 0.0:
+        return cap, cap
+    margin_b = h_b - s_rho
+    margin_s = h_s - s_rho
+    # the residual capacity from the joint first-order conditions
+    d = n_b * margin_b + n_s * margin_s
+    root = _checked_sqrt(gamma**2 * (n_tot - 1.0) ** 2 + 4.0 * gamma * mu * d, selected)
+    x = (gamma * (n_tot - 1.0) + root) / (2.0 * d)
+    kb = margin_b * x - gamma
+    ks = margin_s * x - gamma
+    pi_b = np.maximum(np.minimum(cap, (mu - x) * kb / (n_b * kb + n_s * ks)), 0.0)
+    pi_s = np.maximum(own_rate(n_s, margin_s, gamma, mu - n_b * pi_b, selected), 0.0)
+    return pi_b, pi_s
+
+
+def _pi_rates(h_b, h_s, rho, n_b, n_s, params: SystemParams):
+    """Equilibrium per-user rates (pi_B, pi_S) at a single active fee.
+
+    Three branches: nobody generates, only type B generates
+    (`_only_b_rates`), both types generate (`_both_rates`). Scalar or array
+    inputs for h_b/h_s/rho/n_b/n_s; array outputs.
+    """
     h_b = np.asarray(h_b, dtype=float)
     h_s = np.asarray(h_s, dtype=float)
     n_b = np.asarray(n_b, dtype=float)
     n_s = np.asarray(n_s, dtype=float)
-
-    s_rho = sbar * rho
-    cap = mu / (n_b + n_s)
-    margin_b = h_b - s_rho
-    margin_s = h_s - s_rho
-
-    if gamma == 0.0:
-        # waiting is costless: users with positive margin generate at the cap
-        pi_b = np.where(margin_b > 0, cap, 0.0)
-        pi_s = np.where(margin_s > 0, cap, 0.0)
-        return pi_b, pi_s
-
-    cond_none = h_b <= s_rho + gamma / mu
-    active = ~cond_none
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        only_b = np.minimum(own_rate(n_b, margin_b, gamma, mu, active), cap)
-        cond_only_b = active & (h_s <= s_rho + gamma / (mu - n_b * only_b))
-        cond_both = active & ~cond_only_b
-
-        # both-types residual capacity from the joint first-order conditions
-        d = n_b * margin_b + n_s * margin_s
-        n_tot = n_b + n_s
-        arg2 = gamma**2 * (n_tot - 1.0) ** 2 + 4.0 * gamma * mu * d
-        root2 = _checked_sqrt(arg2, cond_both)
-        x_both = (gamma * (n_tot - 1.0) + root2) / (2.0 * d)
-        kb = margin_b * x_both - gamma
-        ks = margin_s * x_both - gamma
-        both_b = np.minimum(cap, (mu - x_both) * kb / (n_b * kb + n_s * ks))
-
-        pi_b = np.where(cond_none, 0.0, np.where(cond_only_b, only_b, both_b))
-        pi_b = np.maximum(pi_b, 0.0)
-
-        pi_s_both = own_rate(n_s, margin_s, gamma, mu - n_b * pi_b, cond_both)
-        pi_s = np.where(cond_both, pi_s_both, 0.0)
-        pi_s = np.maximum(pi_s, 0.0)
-
-    return pi_b, pi_s
+        active, pi_b, threshold = _only_b_rates(h_b, rho, n_b, n_s, params)
+        both = active & ~(h_s <= threshold)
+        both_b, both_s = _both_rates(h_b, h_s, rho, n_b, n_s, params, both)
+    return np.where(both, both_b, pi_b), np.where(both, both_s, 0.0)
 
 
 def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams):

@@ -10,7 +10,7 @@ import numpy as np
 import fwt.user_game as user_game
 from fwt.mechanism import OracleResult
 from fwt.model import FeeMenu
-from fwt.queue import by_role, split_roles
+from fwt.queue import _checked_sqrt, by_role, own_rate, split_roles, welfare_rate
 
 
 def stage2_rates_core(h_high, h_low, menu, params):
@@ -49,6 +49,55 @@ def stage2_rates_core(h_high, h_low, menu, params):
 
     lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
     return lam_h, lam_l, use_high
+
+
+def pi_rates_all_branches(h_b, h_s, rho, n_b, n_s, params):
+    """`user_game._pi_rates` as it stood before it composed two branch
+    kernels: all three branches computed in every entry, then selected,
+    with gamma = 0 solved on its own path."""
+    gamma = params.impatience
+    mu = params.block_rate
+    sbar = params.mean_tx_size
+    h_b = np.asarray(h_b, dtype=float)
+    h_s = np.asarray(h_s, dtype=float)
+    n_b = np.asarray(n_b, dtype=float)
+    n_s = np.asarray(n_s, dtype=float)
+
+    s_rho = sbar * rho
+    cap = mu / (n_b + n_s)
+    margin_b = h_b - s_rho
+    margin_s = h_s - s_rho
+
+    if gamma == 0.0:
+        pi_b = np.where(margin_b > 0, cap, 0.0)
+        pi_s = np.where(margin_s > 0, cap, 0.0)
+        return pi_b, pi_s
+
+    cond_none = h_b <= s_rho + gamma / mu
+    active = ~cond_none
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        only_b = np.minimum(own_rate(n_b, margin_b, gamma, mu, active), cap)
+        cond_only_b = active & (h_s <= s_rho + gamma / (mu - n_b * only_b))
+        cond_both = active & ~cond_only_b
+
+        d = n_b * margin_b + n_s * margin_s
+        n_tot = n_b + n_s
+        arg2 = gamma**2 * (n_tot - 1.0) ** 2 + 4.0 * gamma * mu * d
+        root2 = _checked_sqrt(arg2, cond_both)
+        x_both = (gamma * (n_tot - 1.0) + root2) / (2.0 * d)
+        kb = margin_b * x_both - gamma
+        ks = margin_s * x_both - gamma
+        both_b = np.minimum(cap, (mu - x_both) * kb / (n_b * kb + n_s * ks))
+
+        pi_b = np.where(cond_none, 0.0, np.where(cond_only_b, only_b, both_b))
+        pi_b = np.maximum(pi_b, 0.0)
+
+        pi_s_both = own_rate(n_s, margin_s, gamma, mu - n_b * pi_b, cond_both)
+        pi_s = np.where(cond_both, pi_s_both, 0.0)
+        pi_s = np.maximum(pi_s, 0.0)
+
+    return pi_b, pi_s
 
 
 def pair_loop_oracle(params, grid_points):
@@ -91,6 +140,25 @@ def pair_loop_oracle(params, grid_points):
                     rate_high_type=float(np.asarray(lam_h).flat[k]),
                     rate_low_type=float(np.asarray(lam_l).flat[k]))
     return best
+
+
+def fee_loop_welfare_table(params, grid_points):
+    """The welfare grid oracle's table W[f, cell] as one Stage-II solve per
+    fee: every row-sum cell through `_rates_at`, all three branches in every
+    cell. `_rates_at` is looked up on `fwt.user_game` at call time."""
+    r_h, r_l = params.utility_high, params.utility_low
+    fee_grid = np.linspace(0.0, 1.5 * r_h / params.mean_tx_size, grid_points)
+    q_grid = np.linspace(-r_h, r_h, grid_points)
+    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
+    b_is_high, h_b, h_s, n_b, n_s = split_roles(
+        (r_h - qh).ravel(), (r_l - ql).ravel(), params.n_users_high, params.n_users_low)
+
+    welfare = np.empty((grid_points, h_b.size))
+    for f, fee in enumerate(fee_grid.tolist()):
+        pi_b, pi_s = user_game._rates_at(h_b, h_s, fee, n_b, n_s, params)
+        lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
+        welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
+    return welfare
 
 
 def sufficient_fee_check(outcome, menu, params):

@@ -7,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fwt.mechanism
+import fwt.user_game
 from fwt.checks import check_fairness, check_prop2, criterion_grid, prop2_draws
+from fwt.cli import main
 from fwt.mechanism import (
     _case2,
     induced_outcome,
@@ -26,6 +28,7 @@ from fwt.model import (
     TaxVector,
     validate_params,
 )
+from fwt.queue import InvariantError
 from fwt.user_game import best_response_check, sne_select, user_payoff
 
 import reference
@@ -442,8 +445,7 @@ _DEFAULT_POINT = dict(counts=(100, 100), n_miners=10_000, mu=15.0, gamma=5e-5, s
                       c_s=5e-10, r_low=9e-4, r_spread=2.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+_VALID_POINTS = dict(
     counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
     n_miners=st.integers(1, 50),
     mu=st.floats(0.1, 100.0),
@@ -454,6 +456,17 @@ _DEFAULT_POINT = dict(counts=(100, 100), n_miners=10_000, mu=15.0, gamma=5e-5, s
     r_low=st.floats(1e-7, 1e-2),
     r_spread=st.floats(1.0, 10.0),
 )
+
+
+def _point_params(counts, n_miners, mu, gamma, sbar, c_s, r_low, r_spread):
+    return SystemParams(n_users_high=counts[0], n_users_low=counts[1], n_miners=n_miners,
+                        block_rate=mu, impatience=gamma, mean_tx_size=sbar,
+                        storage_cost_per_byte=c_s, utility_high=r_low * r_spread,
+                        utility_low=r_low)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_VALID_POINTS)
 @example(**{**_DEFAULT_POINT, "c_s": 0.0})
 @example(**{**_DEFAULT_POINT, "gamma": 0.0})
 @example(**{**_DEFAULT_POINT, "c_s": 0.0, "gamma": 0.0})
@@ -461,15 +474,64 @@ def test_oracle_bounds_pair_loop_on_valid_params(counts, n_miners, mu, gamma, sb
                                                  r_low, r_spread):
     """No menu of the grid beats the one-fee oracle, and when C_s > 0 the
     fee-0 menus reach it exactly."""
-    p = SystemParams(n_users_high=counts[0], n_users_low=counts[1], n_miners=n_miners,
-                     block_rate=mu, impatience=gamma, mean_tx_size=sbar,
-                     storage_cost_per_byte=c_s, utility_high=r_low * r_spread,
-                     utility_low=r_low)
+    p = _point_params(counts, n_miners, mu, gamma, sbar, c_s, r_low, r_spread)
     result = unconstrained_optimum_oracle(p, 6)
     ref = reference.pair_loop_oracle(p, 6)
     assert result.welfare >= ref.welfare
     if c_s > 0.0:
         assert result.welfare == ref.welfare
+
+
+def _assert_table_matches_fee_loop(p, grid_points, label=None):
+    _, _, table = fwt.mechanism._welfare_table(p, grid_points)
+    ref = reference.fee_loop_welfare_table(p, grid_points)
+    assert np.array_equal(table, ref, equal_nan=True), label
+
+
+@pytest.mark.parametrize("grid_points", [2, 12, 25, 50])
+def test_welfare_table_matches_fee_loop(grid_points):
+    """The table evaluated branch by branch is the per-fee loop's, bit for
+    bit, on the oracle's reference cases and the certify draws."""
+    cases = _oracle_reference_cases() + [
+        (f"certify draw {d}", p) for d, p in enumerate(prop2_draws(1, 12, 13))]
+    for label, p in cases:
+        _assert_table_matches_fee_loop(p, grid_points, label)
+
+
+# both margins sit at the gamma/mu bar and the no-generation test misses it
+# by rounding, so a both-types cell divides 0 by 0 (ROADMAP item 11)
+_NAN_GAMMA = 0.0021120643256403206
+_NAN_POINT = dict(counts=(1, 1), n_miners=1, mu=1.0, gamma=_NAN_GAMMA, sbar=8.5, c_s=0.0,
+                  r_low=_NAN_GAMMA, r_spread=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**{**_VALID_POINTS,
+          # down to the smallest subnormal, log-uniformly
+          "gamma": _VALID_POINTS["gamma"]
+          | st.floats(math.log10(5e-324), -2.0).map(lambda e: 10.0**e),
+          # 13 leaves a short last block of fee rows
+          "grid_points": st.integers(2, 13)})
+@example(**_DEFAULT_POINT, grid_points=6)
+@example(**{**_DEFAULT_POINT, "c_s": 0.0}, grid_points=6)
+@example(**{**_DEFAULT_POINT, "gamma": 0.0}, grid_points=13)
+@example(**{**_DEFAULT_POINT, "counts": (1, 100)}, grid_points=6)
+@example(**{**_DEFAULT_POINT, "counts": (100, 1)}, grid_points=6)
+@example(**{**_DEFAULT_POINT, "r_spread": 1.0}, grid_points=7)  # h_H == h_L on the diagonal
+@example(**_NAN_POINT, grid_points=6)
+def test_welfare_table_matches_fee_loop_on_valid_params(counts, n_miners, mu, gamma, sbar,
+                                                        c_s, r_low, r_spread, grid_points):
+    """The same, over valid parameters and grid sizes."""
+    p = _point_params(counts, n_miners, mu, gamma, sbar, c_s, r_low, r_spread)
+    _assert_table_matches_fee_loop(p, grid_points)
+
+
+def test_welfare_table_keeps_the_fee_loops_nan_cells():
+    p = _point_params(**_NAN_POINT)
+    _, _, table = fwt.mechanism._welfare_table(p, 6)
+    assert np.isnan(table).any()
+    _assert_table_matches_fee_loop(p, 6)
+    assert math.isnan(unconstrained_optimum_oracle(p, 6).welfare)
 
 
 def test_oracle_optimum_is_realised_by_a_fee_zero_menu():
@@ -495,25 +557,42 @@ def test_oracle_optimum_is_realised_by_a_fee_zero_menu():
     assert realised >= 15
 
 
+def _poison_both_rates(monkeypatch, modules, is_poisoned):
+    """Make `_both_rates` return NaN rates for B wherever `is_poisoned(rho,
+    params)` holds, as seen from each of `modules`."""
+    real = fwt.user_game._both_rates
+
+    def poisoned(h_b, h_s, rho, n_b, n_s, params, selected):
+        pi_b, pi_s = real(h_b, h_s, rho, n_b, n_s, params, selected)
+        return np.where(is_poisoned(rho, params), math.nan, pi_b), pi_s
+
+    for module in modules:
+        monkeypatch.setattr(module, "_both_rates", poisoned)
+
+
 def test_oracle_nan_cell_fails_prop2(monkeypatch):
     """A NaN welfare cell is not skipped: it becomes the oracle's welfare,
-    and the Proposition-2 check reports every draw BAD."""
-    import fwt.user_game as user_game_mod
-
-    real_pi_rates = user_game_mod._pi_rates
-
-    def poisoned(h_b, h_s, rho, n_b, n_s, params):
-        pi_b, pi_s = real_pi_rates(h_b, h_s, rho, n_b, n_s, params)
-        if pi_b.size > 1:  # the oracle's table, not one sne_select point
-            pi_b = pi_b.copy()
-            pi_b[-1] = math.nan  # the last row-sum cell
-        return pi_b, pi_s
-
-    monkeypatch.setattr(user_game_mod, "_pi_rates", poisoned)
+    and the Proposition-2 check reports every draw BAD. The poisoned fees
+    lie above R_H/sbar, which no optimal menu charges, so the theorem's
+    welfare stays finite and the oracle alone fails the draws."""
+    _poison_both_rates(monkeypatch, [fwt.mechanism, fwt.user_game],
+                       lambda rho, p: rho > p.utility_high / p.mean_tx_size)
     assert math.isnan(unconstrained_optimum_oracle(SystemParams(), 12).welfare)
     result = check_prop2(grid_points=12, seed=17)
     assert not result.passed
     assert sum(d.startswith("BAD") for d in result.details) == 10
+    assert not any("theorem=nan" in d for d in result.details)
+
+
+def test_oracle_raises_when_its_table_is_not_its_winners_welfare(monkeypatch, capsys):
+    """A fault in how the table is assembled cannot exit 0 quietly: the
+    winning cell's rates, solved again through `_rates_at`, must give the
+    table's entry, or the oracle raises and `fwt check prop2` exits 3."""
+    _poison_both_rates(monkeypatch, [fwt.mechanism], lambda rho, p: True)
+    with pytest.raises(InvariantError, match="welfare table entry nan"):
+        unconstrained_optimum_oracle(SystemParams(), 12)
+    assert main(["check", "prop2", "--budget", "12"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: welfare table entry nan")
 
 
 def test_oracle_certifies_case2_on_finer_grid():

@@ -9,6 +9,7 @@ import pytest
 from fwt.checks import CheckResult, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.cli import main as fwt_main
+from fwt.mechanism import unconstrained_optimum_oracle
 from fwt.model import SystemParams
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -94,16 +95,24 @@ def test_validate_against_simulator_rejects_negative_seed(capsys):
 
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
-    """With its command list cut to one solve and one check suite, the
-    script writes the solve JSON as `fwt solve` prints it and the suite's
-    pass flag and detail lines."""
+    """With its command list cut to one solve, one check suite and one
+    oracle point, the script writes the solve JSON as `fwt solve` prints
+    it, the suite's pass flag and detail lines, and the repr of every field
+    of the oracle's result."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     script = _load_script("snapshot_outputs")
     monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
     monkeypatch.setattr(script, "CHECKS", ["corollary2"])
+    monkeypatch.setattr(script, "ORACLE_POINTS", [("defaults", SystemParams())])
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["check_corollary2.txt", "solve.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "check_corollary2.txt", "oracle.txt", "solve.json"]
+    r = unconstrained_optimum_oracle(SystemParams(), 50)
+    assert (tmp_path / "oracle.txt").read_text() == (
+        f"defaults: welfare={r.welfare!r} fee={r.fee!r} q_high={r.q_high!r} "
+        f"q_low={r.q_low!r} rate_high_type={r.rate_high_type!r} "
+        f"rate_low_type={r.rate_low_type!r}\n")
     assert fwt_main(["solve"]) == 0
     assert (tmp_path / "solve.json").read_text() + "\n" == capsys.readouterr().out
     suite = run_suite("corollary2")

@@ -297,6 +297,35 @@ def test_rate_feasibility_vectorized_bulk():
     assert np.all(pi_b <= cap * (1 + 1e-12))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.sampled_from([0.0]) | st.floats(math.log10(5e-324), -2.0).map(lambda e: 10.0**e),
+    mu=st.floats(0.1, 100.0),
+    counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
+    rho=st.sampled_from([0.0]) | st.floats(0.0, 1e-4),
+    h=st.lists(st.tuples(st.floats(-1e-3, 1e-2), st.floats(-1e-3, 1e-2)), min_size=1,
+               max_size=40),
+)
+@example(gamma=5e-5, mu=15.0, counts=(100, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (1e-3, 1e-3)])
+@example(gamma=0.0, mu=15.0, counts=(1, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (7.5e-4, 0.0)])
+def test_pi_rates_match_all_branch_reference(gamma, mu, counts, rho, h):
+    """The two branch kernels composed give the three-branch original's
+    rates bit for bit, NaN where it is NaN, and raise where it raises."""
+    params = replace(SystemParams(), impatience=gamma, block_rate=mu)
+    h_b = np.array([max(pair) for pair in h])
+    h_s = np.array([min(pair) for pair in h])
+    args = (h_b, h_s, rho, *counts, params)
+    try:
+        want = reference.pi_rates_all_branches(*args)
+    except InvariantError:
+        with pytest.raises(InvariantError):
+            _pi_rates(*args)
+        return
+    got = _pi_rates(*args)
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1], equal_nan=True)
+
+
 # --- SNE selection ---------------------------------------------------------------
 
 def test_huge_high_fee_forces_low_fee_sne(table_params):
