@@ -13,20 +13,26 @@ The commands are `fwt solve` variants, the evaluation sweeps, two seeded
 written as its pass flag and detail lines. `oracle.txt` holds the `repr`
 of every field of the welfare grid oracle's result at 50 points for
 `prop2_draws(0)`, `prop2_draws(1, 12, 13)` and the defaults, which the
-checks print only to six digits. Only `fwt.cli.main`,
-`fwt.checks.run_suite`, `fwt.checks.prop2_draws`,
-`fwt.mechanism.unconstrained_optimum_oracle` and `fwt.model.SystemParams`
-are used, so the script runs against any tree that has them.
+checks print only to six digits. `sim.txt` holds the `repr` of every field
+but the event log of `fwt.sim.run` on each Lemma-1 profile, untaxed, at
+seed 1, 3 replications and a 200 s horizon, arrays as lists: unlike the
+two `fwt simulate` runs, whose users all pay the low fee, these profiles
+serve both fee classes. Only `fwt.cli.main`, `fwt.checks.run_suite`,
+`fwt.checks.prop2_draws`, `fwt.checks.lemma1_profiles`,
+`fwt.mechanism.unconstrained_optimum_oracle`, `fwt.model.SystemParams`,
+`fwt.model.TaxVector`, `fwt.sim.SimConfig` and `fwt.sim.run` are used, so
+the script runs against any tree that has them.
 """
 import argparse
 import dataclasses
 import sys
 from pathlib import Path
 
-from fwt.checks import SUITES, prop2_draws, run_suite
+from fwt.checks import SUITES, lemma1_profiles, prop2_draws, run_suite
 from fwt.cli import main as fwt_main
 from fwt.mechanism import unconstrained_optimum_oracle
-from fwt.model import SystemParams
+from fwt.model import SystemParams, TaxVector
+from fwt.sim import SimConfig, run
 from run_evaluation_sweeps import COST_RATIO_PARAMS, STEPS
 
 # (output file, fwt argv); "{events}" becomes the path of the file's event log
@@ -58,12 +64,25 @@ ORACLE_POINTS = ([(f"prop2_draws(0)[{i}]", p) for i, p in enumerate(prop2_draws(
                     for i, p in enumerate(prop2_draws(1, 12, 13))]
                  + [("defaults", SystemParams())])
 
+SIM_PROFILES = lemma1_profiles()
+
 
 def oracle_lines():
     for label, params in ORACLE_POINTS:
         result = unconstrained_optimum_oracle(params, grid_points=50)
         yield label + ": " + " ".join(f"{field.name}={getattr(result, field.name)!r}"
                                       for field in dataclasses.fields(result))
+
+
+def sim_lines():
+    for label, params, menu, profile in SIM_PROFILES:
+        report = run(SimConfig(params=params, menu=menu, tax=TaxVector.zero(),
+                               profile=profile, horizon=200.0, seed=1, replications=3))
+        for field in dataclasses.fields(report):
+            if field.name != "events":
+                value = getattr(report, field.name)
+                value = value.tolist() if hasattr(value, "tolist") else value
+                yield f"{label}: {field.name}={value!r}"
 
 
 def main(argv=None):
@@ -89,6 +108,9 @@ def main(argv=None):
         print(path)
     path = out_dir / "oracle.txt"
     path.write_text("\n".join(oracle_lines()) + "\n")
+    print(path)
+    path = out_dir / "sim.txt"
+    path.write_text("\n".join(sim_lines()) + "\n")
     print(path)
     return 0
 

@@ -348,7 +348,7 @@ def unconstrained_optimum_oracle(params: SystemParams,
         raise InvariantError(f"welfare table entry {float(table[f, k])!r} at fee row {f}, "
                              f"cell {k} is not its rates' welfare {float(welfare[0])!r}")
     return OracleResult(
-        welfare=float(table[f, k]),
+        welfare=float(table[f, k]) + 0.0,       # nobody generating is +0.0, not -0.0
         fee=float(fee_grid[f]),
         q_high=float(q_grid[i]),
         q_low=float(q_grid[j]),

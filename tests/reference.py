@@ -4,6 +4,7 @@ Each function is program code as it stood before a simplification, so a
 test can assert that the simplified code gives the same numbers.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -243,3 +244,52 @@ def poisson_arrivals(seed_seq, rates, horizon):
                 [times, times[-1] + np.cumsum(-np.log1p(-gen.random(chunk)) / rate)])
         streams.append(times[1:][times[1:] <= horizon])
     return np.concatenate(streams), np.array([len(t) for t in streams])
+
+
+def one_generator_poisson_arrivals(gen, rates, horizon):
+    """The simulator's arrival draw as one expression over fresh arrays,
+    before it ran in one buffer: every count, one run of exponential gaps
+    for all processes, and each process's partial sums over its total.
+    Returns the times concatenated in process order and each count."""
+    counts = gen.poisson(np.asarray(rates, dtype=float) * horizon)
+    sums = np.cumsum(-np.log1p(-gen.random(int(counts.sum()) + len(counts))))
+    ends = np.cumsum(counts + 1) - 1        # each process's extra gap
+    before = np.repeat(np.concatenate(([0.0], sums[ends[:-1]])), counts)
+    total = np.repeat(sums[ends], counts) - before
+    return (np.delete(sums, ends) - before) / total * horizon, counts
+
+
+def _fifo_served_slots(arrivals, blocks):
+    """The FIFO walk over the blocks a class may use: the positions in
+    `blocks` of the blocks that serve the arrivals, in arrival order."""
+    served = np.searchsorted(blocks, arrivals, side="right")
+    k = np.arange(len(arrivals))
+    np.subtract(served, k, out=served)
+    np.maximum.accumulate(served, out=served)
+    np.add(served, k, out=served)
+    return served[:np.searchsorted(served, len(blocks))]
+
+
+def per_block_serve(times, cls, block_times, menu, params):
+    """The simulator's class loop before it worked on arrival-sized arrays
+    alone: a transaction per block in an array over the blocks, each class
+    walked over the times of the blocks still free, which are then deleted.
+    Returns what `fwt.sim._serve` returns: the serving blocks in block
+    order, their transactions, the unserved ones and the exact fee total."""
+    c_s = params.storage_cost_per_byte
+    n_blocks = len(block_times)
+    served_tx = np.full(n_blocks, -1)
+    unserved = []
+    fees = Fraction(0)
+    free = np.arange(n_blocks)
+    for c, rho in enumerate((menu.rho_high, menu.rho_low)):
+        fifo = np.flatnonzero(cls == c)
+        fifo = fifo[np.argsort(times[fifo], kind="stable")]   # ties in user order
+        served = (_fifo_served_slots(times[fifo], block_times[free]) if rho >= c_s
+                  else free[:0])
+        served_tx[free[served]] = fifo[:len(served)]
+        unserved.append(fifo[len(served):])
+        fees += Fraction(params.mean_tx_size * rho) * len(served)
+        free = np.delete(free, served)
+    block = np.flatnonzero(served_tx >= 0)      # serving blocks in block order
+    return block, served_tx[block], np.concatenate(unserved), fees

@@ -403,6 +403,17 @@ def test_oracle_zero_for_no_generation_params(table_params):
     assert oracle.welfare == 0.0
 
 
+def test_oracle_zero_welfare_is_positive_zero(table_params):
+    """Where the best cell has nobody generating, the welfare is +0.0. The
+    table's n * 0 * (R - M*C_s*sbar) is -0.0 when the margin is negative,
+    and a signed zero would read as a loss."""
+    points = [replace(table_params, utility_high=1e-5, utility_low=5e-6)] + prop2_draws(0)
+    zeros = [w for w in (unconstrained_optimum_oracle(p, 50).welfare for p in points)
+             if w == 0.0]
+    assert zeros
+    assert all(math.copysign(1.0, w) == 1.0 for w in zeros)
+
+
 def _oracle_reference_cases():
     defaults = SystemParams()
     cases = [(f"prop2 draw {d}", p) for d, p in enumerate(prop2_draws(17))]

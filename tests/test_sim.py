@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import json
 import math
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 from statistics import NormalDist
 
@@ -253,15 +256,15 @@ def test_tax_total_matches_pairwise_sum():
     assert report.taxes_paid == report.taxes_received == [pairwise]
 
 
-def _reference_fifo_served(arrivals, blocks):
-    """Event by event: each block serves the head of the queue of arrivals
-    strictly before it."""
+def _reference_fifo_served(arrivals, blocks, taken=frozenset()):
+    """Event by event: each block that another class has not taken serves
+    the head of the queue of arrivals strictly before it."""
     queue, served, i = deque(), [], 0
     for k, t in enumerate(blocks):
         while i < len(arrivals) and arrivals[i] < t:
             queue.append(i)
             i += 1
-        if queue:
+        if queue and k not in taken:
             queue.popleft()
             served.append(k)
     return served
@@ -272,19 +275,103 @@ _int_times = st.lists(st.integers(0, 12), max_size=30).map(
 
 
 @settings(max_examples=400, deadline=None)
-@given(arrivals=_int_times, blocks=_int_times)
-@example(arrivals=np.array([], dtype=float), blocks=np.array([1.0, 2.0]))
-@example(arrivals=np.array([1.0, 2.0]), blocks=np.array([], dtype=float))
-@example(arrivals=np.array([5.0, 6.0, 7.0]), blocks=np.array([1.0, 2.0, 4.0]))
-@example(arrivals=np.array([0.0, 1.0, 1.0, 2.0, 3.0]), blocks=np.array([2.0, 4.0]))
-@example(arrivals=np.array([3.0, 3.0, 3.0]), blocks=np.array([1.0, 3.0, 3.0, 4.0, 5.0]))
-def test_fifo_served_matches_queue_with_ties(arrivals, blocks):
+@given(arrivals=_int_times, blocks=_int_times, taken_bits=st.integers(0, 2**30 - 1))
+@example(arrivals=np.array([], dtype=float), blocks=np.array([1.0, 2.0]), taken_bits=0)
+@example(arrivals=np.array([1.0, 2.0]), blocks=np.array([], dtype=float), taken_bits=0)
+@example(arrivals=np.array([5.0, 6.0, 7.0]), blocks=np.array([1.0, 2.0, 4.0]), taken_bits=0)
+@example(arrivals=np.array([0.0, 1.0, 1.0, 2.0, 3.0]), blocks=np.array([2.0, 4.0]),
+         taken_bits=0)
+@example(arrivals=np.array([3.0, 3.0, 3.0]), blocks=np.array([1.0, 3.0, 3.0, 4.0, 5.0]),
+         taken_bits=0)
+@example(arrivals=np.array([0.0, 1.0]), blocks=np.array([1.0, 2.0, 3.0]), taken_bits=0b111)
+@example(arrivals=np.array([0.0, 0.0, 1.0, 2.0]), blocks=np.array([1.0, 1.0, 2.0, 3.0, 4.0]),
+         taken_bits=0b01011)
+def test_fifo_served_matches_queue_with_ties(arrivals, blocks, taken_bits):
     """Integer times make arrivals fall on block instants: such a block
-    never serves the arrival at its own instant. The examples: no arrivals,
-    no blocks, every arrival after the last block, more arrivals than
-    blocks, and every arrival on one block instant."""
-    served = _fifo_served(arrivals, blocks)
-    assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist())
+    never serves the arrival at its own instant. Bit k of `taken_bits`
+    gives block k to another class. The examples: no arrivals, no blocks,
+    every arrival after the last block, more arrivals than blocks, every
+    arrival on one block instant, every block taken, and taken blocks
+    between and on the arrivals' instants."""
+    taken = [k for k in range(len(blocks)) if taken_bits >> k & 1]
+    served = _fifo_served(arrivals, blocks, np.array(taken, dtype=np.intp))
+    assert served.tolist() == _reference_fifo_served(arrivals.tolist(), blocks.tolist(),
+                                                     set(taken))
+
+
+# both classes served, the low class refused, both refused, the low fee
+# exactly the storage cost
+_MENUS = [BOTH_OK, HIGH_ONLY, FeeMenu(rho_high=0.5 * C_S, rho_low=0.25 * C_S),
+          FeeMenu(rho_high=2 * C_S, rho_low=C_S)]
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_h=st.integers(1, 20), n_l=st.integers(1, 20),
+       menu=st.sampled_from(_MENUS), load=st.sampled_from([0.3, 0.9, 1.0, 1.5]),
+       per_user=st.booleans(), taxed=st.booleans(),
+       warmup=st.sampled_from([0.0, 0.1, 0.5]), horizon=st.floats(2.0, 40.0),
+       tied=st.booleans(), log_events=st.booleans())
+@example(seed=1, n_h=20, n_l=20, menu=BOTH_OK, load=1.0, per_user=True, taxed=True,
+         warmup=0.5, horizon=40.0, tied=True, log_events=True)
+@example(seed=2, n_h=1, n_l=1, menu=HIGH_ONLY, load=1.5, per_user=False, taxed=False,
+         warmup=0.0, horizon=40.0, tied=False, log_events=False)
+def test_replication_matches_per_block_reference(seed, n_h, n_l, menu, load, per_user,
+                                                 taxed, warmup, horizon, tied, log_events):
+    """Every field of a replication, bit for bit, against the class loop
+    over per-block arrays (`reference.per_block_serve`) on the same draws.
+    The rates split `load` times the block rate over the users, some of
+    them zero; tied: every block and arrival time is rounded up to a whole
+    second, so both classes hold equal generation times."""
+    rng = np.random.default_rng(seed)
+    params = replace(SystemParams(), n_users_high=n_h, n_users_low=n_l)
+    rows = n_h + n_l if per_user else 2
+    weights = rng.random((rows, 2)) * (rng.random((rows, 2)) < 0.8) * (rng.random(2) < 0.9)
+    if not per_user:
+        weights = np.repeat(weights, [n_h, n_l], axis=0)
+    rates = [RatePair(*r) for r in (weights / (weights.sum() or 1.0)
+                                    * load * params.block_rate).tolist()]
+    tax = TaxVector(*(rng.normal(size=4) * 1e-5).tolist()) if taxed else TaxVector.zero()
+    cfg = SimConfig(params=params, menu=menu, tax=tax,
+                    profile=StrategyProfile(rates[0], rates[n_h]), horizon=horizon,
+                    warmup=warmup, replications=1,
+                    per_user_rates=tuple(rates) if per_user else None)
+    with ExitStack() as patches:
+        if tied:
+            patches.enter_context(mock.patch.object(
+                sim, "_poisson_arrivals", _whole_seconds(sim._poisson_arrivals)))
+        got = sim._run_replication(cfg, np.random.default_rng(seed), log_events)
+        patches.enter_context(mock.patch.object(sim, "_serve", reference.per_block_serve))
+        want = sim._run_replication(cfg, np.random.default_rng(seed), log_events)
+    for field in dataclasses.fields(got):
+        assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name)), field.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       rates=st.lists(st.sampled_from([0.0, 1e-3, 15.0]) | st.floats(0.0, 20.0),
+                      min_size=1, max_size=8),
+       horizon=st.floats(0.01, 300.0))
+@example(seed=0, rates=[15.0], horizon=100.0)
+@example(seed=0, rates=[0.0], horizon=100.0)
+@example(seed=0, rates=[0.0, 0.0, 0.0], horizon=100.0)
+@example(seed=0, rates=[0.0, 2.0, 0.0, 0.5, 0.0], horizon=100.0)
+def test_poisson_arrivals_matches_one_expression_reference(seed, rates, horizon):
+    """Bit for bit against the draw as one expression over fresh arrays,
+    and the generator is left in the same state. The examples: one process
+    (the blocks), one process with no arrivals, every rate zero, and
+    zero-count processes between others."""
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    times, counts = sim._poisson_arrivals(gen, rates, horizon)
+    ref_times, ref_counts = reference.one_generator_poisson_arrivals(ref_gen, rates, horizon)
+    assert _bits(times) == _bits(ref_times)
+    assert _bits(counts) == _bits(ref_counts)
+    assert gen.random() == ref_gen.random()
 
 
 def _loop_arrivals(gen, rates, horizon):
