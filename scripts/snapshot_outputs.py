@@ -14,11 +14,15 @@ written as its pass flag and detail lines. `oracle.txt` holds the `repr`
 of every field of the welfare grid oracle's result at 50 points for
 `prop2_draws(0)`, `prop2_draws(1, 12, 13)` and the defaults, which the
 checks print only to six digits. `sim.txt` holds the `repr` of every field
-but the event log of `fwt.sim.run` on each Lemma-1 profile, untaxed, at
-seed 1, 3 replications and a 200 s horizon, arrays as lists: unlike the
-two `fwt simulate` runs, whose users all pay the low fee, these profiles
-serve both fee classes. Only `fwt.cli.main`, `fwt.checks.run_suite`,
-`fwt.checks.prop2_draws`, `fwt.checks.lemma1_profiles`,
+but the event log of `fwt.sim.run` at seed 1, 3 replications and a 200 s
+horizon, arrays as lists, on each Lemma-1 profile, untaxed, and on the
+optimal mechanism's menu, tax and equilibrium profile at the defaults and
+at 1000 users per type: unlike the two `fwt simulate` runs, whose users all
+pay the low fee, the Lemma-1 profiles serve both fee classes, and the two
+taxed cases pin the tax totals at full precision. Only `fwt.cli.main`,
+`fwt.checks.run_suite`, `fwt.checks.prop2_draws`,
+`fwt.checks.lemma1_profiles`, `fwt.mechanism.optimal_mechanism` (its
+`menu`, `tax` and `outcome.profile`),
 `fwt.mechanism.unconstrained_optimum_oracle`, `fwt.model.SystemParams`,
 `fwt.model.TaxVector`, `fwt.sim.SimConfig` and `fwt.sim.run` are used, so
 the script runs against any tree that has them.
@@ -30,7 +34,7 @@ from pathlib import Path
 
 from fwt.checks import SUITES, lemma1_profiles, prop2_draws, run_suite
 from fwt.cli import main as fwt_main
-from fwt.mechanism import unconstrained_optimum_oracle
+from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
 from fwt.model import SystemParams, TaxVector
 from fwt.sim import SimConfig, run
 from run_evaluation_sweeps import COST_RATIO_PARAMS, STEPS
@@ -64,7 +68,18 @@ ORACLE_POINTS = ([(f"prop2_draws(0)[{i}]", p) for i, p in enumerate(prop2_draws(
                     for i, p in enumerate(prop2_draws(1, 12, 13))]
                  + [("defaults", SystemParams())])
 
-SIM_PROFILES = lemma1_profiles()
+
+def _optimal_case(label, params):
+    mech = optimal_mechanism(params)
+    return label, params, mech.menu, mech.tax, mech.outcome.profile
+
+
+# (label, params, menu, tax, profile)
+SIM_CASES = ([(label, params, menu, TaxVector.zero(), profile)
+              for label, params, menu, profile in lemma1_profiles()]
+             + [_optimal_case("optimal mechanism, taxed, defaults", SystemParams()),
+                _optimal_case("optimal mechanism, taxed, 1000 users per type",
+                              SystemParams(n_users_high=1000, n_users_low=1000))])
 
 
 def oracle_lines():
@@ -75,9 +90,9 @@ def oracle_lines():
 
 
 def sim_lines():
-    for label, params, menu, profile in SIM_PROFILES:
-        report = run(SimConfig(params=params, menu=menu, tax=TaxVector.zero(),
-                               profile=profile, horizon=200.0, seed=1, replications=3))
+    for label, params, menu, tax, profile in SIM_CASES:
+        report = run(SimConfig(params=params, menu=menu, tax=tax, profile=profile,
+                               horizon=200.0, seed=1, replications=3))
         for field in dataclasses.fields(report):
             if field.name != "events":
                 value = getattr(report, field.name)

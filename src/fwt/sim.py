@@ -21,6 +21,16 @@ cost is never served, and its arrivals stay pending until the horizon
 (censored). Tie rule: a block sees only the transactions generated
 strictly before it, and equal generation times queue in user order.
 
+Transfer totals: the fee and tax ledgers cover the post-warm-up window, as
+the payoffs and the inclusion counts do, and each total is correctly
+rounded. A type-a user with k inclusions pays the same amount to every
+other type-t user, so the tax total is taken over a histogram of the
+users' inclusion counts, one term per type, count and payee type, and the
+fee total over the two classes' counts. Each term is a double times an
+integer; a double is an integer over a power of two, so `_exact_sum` adds
+every term exactly in one Python integer over the largest denominator and
+rounds once.
+
 Confidence intervals: each mean over replications carries a 95% Student-t
 half-width. The t quantile is computed here with the math module and numpy
 alone (`_t_quantile`: the closed-form t distribution function for integer
@@ -43,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -166,13 +175,11 @@ def _serve(times: np.ndarray, cls: np.ndarray, block_times: np.ndarray,
     Each class queues its arrivals by time. A sort that is not stable
     gives the stable order whenever the times are distinct, so the stable
     sort runs only on a tie, where it keeps user order. Returns the serving
-    blocks in block order, the transaction each serves, the transactions
-    never served (class by class, each in queue order) and the exact total
-    of the fees paid.
+    blocks in block order, the transaction each serves and the transactions
+    never served (class by class, each in queue order).
     """
     block = tx = np.empty(0, dtype=np.intp)     # served so far, in block order
     unserved = []
-    fees = Fraction(0)      # each class pays one amount: an exact total
     c_s = params.storage_cost_per_byte
     for c, rho in enumerate((menu.rho_high, menu.rho_low)):
         fifo = np.flatnonzero(cls == c)
@@ -186,11 +193,26 @@ def _serve(times: np.ndarray, cls: np.ndarray, block_times: np.ndarray,
         served = (_fifo_served(arrivals, block_times, block) if rho >= c_s
                   else block[:0])
         unserved.append(fifo[len(served):])
-        fees += Fraction(params.mean_tx_size * rho) * len(served)
         # merge the two disjoint, sorted block lists into block order
         at = np.searchsorted(served, block)
         block, tx = np.insert(served, at, block), np.insert(fifo[:len(served)], at, tx)
-    return block, tx, np.concatenate(unserved), fees
+    return block, tx, np.concatenate(unserved)
+
+
+def _exact_sum(values: list[float], weights: list[int]) -> float:
+    """The correctly rounded sum of value * weight over finite floats and
+    integer weights.
+
+    Every finite double is an integer over a power of two, so with every
+    numerator scaled to the largest denominator the sum is one integer over
+    it, held exactly in a Python int (Kulisch's long accumulator), and the
+    one division rounds it correctly, as `Fraction.__float__` does. NaN
+    raises ValueError and an infinity OverflowError, as they do in
+    `Fraction`.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    top = max((den for _, den in ratios), default=1)
+    return sum(num * (top // den) * w for (num, den), w in zip(ratios, weights)) / top
 
 
 @dataclass
@@ -226,13 +248,13 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
     times, counts = _poisson_arrivals(gen, config.user_rates().ravel(), horizon)
     user, cls = np.divmod(np.repeat(np.arange(2 * n), counts), 2)
 
-    serving, serving_tx, left, fees = _serve(times, cls, block_times, menu, params)
+    serving, serving_tx, left = _serve(times, cls, block_times, menu, params)
     t_start = config.warmup * horizon
     window = horizon - t_start
     post = times[serving_tx] >= t_start
     block, tx = serving[post], serving_tx[post]
     payer = user[tx]
-    incl_cnt = np.bincount(payer, minlength=n).astype(float)
+    incl_cnt = np.bincount(payer, minlength=n)
     wait_sum = np.bincount(payer, block_times[block] - times[tx], minlength=n)
     amount = sbar * np.where(cls[tx] == 0, menu.rho_high, menu.rho_low)
     fee_paid = np.bincount(payer, amount, minlength=n)
@@ -264,19 +286,24 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
     storage_total = params.n_miners * c_s * (sbar * len(tx))
     welfare = float(payoff.sum()) + (fee_window_total - storage_total) / window
 
-    # Transfer totals, each correctly rounded. User u pays incl_cnt[u] *
-    # P[type u][type v] to every other user v, so the tax total weights each
-    # distinct one of the N x 2 amounts by its number of payees and sums
-    # exactly.
-    type_idx = (~is_high).astype(int)
-    p_matrix = np.array([[tax.p_hh, tax.p_hl], [tax.p_lh, tax.p_ll]])
-    amounts = incl_cnt[:, None] * p_matrix[type_idx]
-    payees = np.array([n_h, n - n_h]) - (type_idx[:, None] == np.arange(2))
-    values, group = np.unique(amounts, return_inverse=True)
-    weights = np.bincount(group.ravel(), payees.ravel()).astype(np.int64)
-    taxes_total = float(sum((Fraction(v) * w for v, w in zip(values.tolist(),
-                                                             weights.tolist())),
-                            Fraction(0)))
+    # Transfer totals over the window, each summed exactly in integers and
+    # rounded once. A type-a user with k inclusions pays fl(k * P[a][t]) to
+    # each of the n_t - [a = t] other type-t users, so the tax multiset holds
+    # that amount hist_a[k] * (n_t - [a = t]) times, hist_a[k] being the
+    # number of type-a users with k inclusions. Each fee class pays
+    # fl(sbar * rho) per inclusion.
+    n_type = (n_h, n - n_h)
+    p_rows = ((tax.p_hh, tax.p_hl), (tax.p_lh, tax.p_ll))
+    values, weights = [], []
+    for a, counts_a in enumerate((incl_cnt[:n_h], incl_cnt[n_h:])):
+        hist = np.bincount(counts_a)
+        k = np.flatnonzero(hist)
+        for t in (0, 1):
+            values += (k * p_rows[a][t]).tolist()
+            weights += (hist[k] * (n_type[t] - (a == t))).tolist()
+    taxes_total = _exact_sum(values, weights)
+    included = np.bincount(cls[tx], minlength=2)
+    fees_total = _exact_sum([sbar * menu.rho_high, sbar * menu.rho_low], included.tolist())
 
     events = None
     if log_events:
@@ -292,11 +319,11 @@ def _run_replication(config: SimConfig, gen: np.random.Generator,
         wait_rate=wait_rate,
         payoff=payoff,
         welfare=welfare,
-        fees_total=float(fees),
+        fees_total=fees_total,
         taxes_total=taxes_total,
         blocks_total=n_blocks,
         blocks_empty=n_blocks - len(serving),
-        included=np.bincount(cls[tx], minlength=2),
+        included=included,
         generated=np.bincount(cls, minlength=2),
         censored_count=censored_cnt,
         censored_wait=censored_wait,

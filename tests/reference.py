@@ -275,12 +275,11 @@ def per_block_serve(times, cls, block_times, menu, params):
     alone: a transaction per block in an array over the blocks, each class
     walked over the times of the blocks still free, which are then deleted.
     Returns what `fwt.sim._serve` returns: the serving blocks in block
-    order, their transactions, the unserved ones and the exact fee total."""
+    order, their transactions and the unserved ones."""
     c_s = params.storage_cost_per_byte
     n_blocks = len(block_times)
     served_tx = np.full(n_blocks, -1)
     unserved = []
-    fees = Fraction(0)
     free = np.arange(n_blocks)
     for c, rho in enumerate((menu.rho_high, menu.rho_low)):
         fifo = np.flatnonzero(cls == c)
@@ -289,7 +288,23 @@ def per_block_serve(times, cls, block_times, menu, params):
                   else free[:0])
         served_tx[free[served]] = fifo[:len(served)]
         unserved.append(fifo[len(served):])
-        fees += Fraction(params.mean_tx_size * rho) * len(served)
         free = np.delete(free, served)
     block = np.flatnonzero(served_tx >= 0)      # serving blocks in block order
-    return block, served_tx[block], np.concatenate(unserved), fees
+    return block, served_tx[block], np.concatenate(unserved)
+
+
+def pairwise_tax_total(included, n_users_high, tax):
+    """The tax total of a replication as its explicit multiset: for every
+    ordered pair (u, v) of distinct users, the double fl(k_u * P[type u][type
+    v]) that u pays v, with k_u u's inclusion count and users 0 ..
+    n_users_high - 1 of type H. The N(N - 1) amounts are summed exactly as
+    fractions and rounded once."""
+    entry = {("H", "H"): tax.p_hh, ("H", "L"): tax.p_hl,
+             ("L", "H"): tax.p_lh, ("L", "L"): tax.p_ll}
+    kind = ["H" if u < n_users_high else "L" for u in range(len(included))]
+    total = Fraction(0)
+    for u, k in enumerate(included):
+        for v in range(len(included)):
+            if v != u:
+                total += Fraction(float(k) * entry[kind[u], kind[v]])
+    return float(total)

@@ -9,7 +9,7 @@ import pytest
 from fwt.checks import CheckResult, lemma1_profiles, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.cli import main as fwt_main
-from fwt.mechanism import unconstrained_optimum_oracle
+from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
 from fwt.model import SystemParams, TaxVector
 from fwt.sim import SimConfig, run
 
@@ -97,30 +97,43 @@ def test_validate_against_simulator_rejects_negative_seed(capsys):
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve, one check suite, one oracle
-    point and one Lemma-1 profile, the script writes the solve JSON as
-    `fwt solve` prints it, the suite's pass flag and detail lines, the
-    repr of every field of the oracle's result, and the repr of every
-    simulator report field but the event log."""
+    point, one Lemma-1 profile and the taxed optimal mechanism at the
+    defaults, the script writes the solve JSON as `fwt solve` prints it, the
+    suite's pass flag and detail lines, the repr of every field of the
+    oracle's result, and the repr of every simulator report field but the
+    event log."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     script = _load_script("snapshot_outputs")
     monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
     monkeypatch.setattr(script, "CHECKS", ["corollary2"])
     monkeypatch.setattr(script, "ORACLE_POINTS", [("defaults", SystemParams())])
     label, params, menu, profile = lemma1_profiles()[0]
-    monkeypatch.setattr(script, "SIM_PROFILES", [(label, params, menu, profile)])
+    mech = optimal_mechanism(SystemParams())
+    taxed = "optimal mechanism, taxed, defaults"
+    assert script.SIM_CASES[-2] == (taxed, SystemParams(), mech.menu, mech.tax,
+                                    mech.outcome.profile)
+    assert script.SIM_CASES[-1][1] == SystemParams(n_users_high=1000, n_users_low=1000)
+    monkeypatch.setattr(script, "SIM_CASES", [(label, params, menu, TaxVector.zero(), profile),
+                                              script.SIM_CASES[-2]])
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "check_corollary2.txt", "oracle.txt", "sim.txt", "solve.json"]
     report = run(SimConfig(params=params, menu=menu, tax=TaxVector.zero(), profile=profile,
                            horizon=200.0, seed=1, replications=3))
+    taxed_report = run(SimConfig(params=SystemParams(), menu=mech.menu, tax=mech.tax,
+                                 profile=mech.outcome.profile, horizon=200.0, seed=1,
+                                 replications=3))
     lines = (tmp_path / "sim.txt").read_text().splitlines()
     assert [line.split("=")[0] for line in lines] == [
-        f"{label}: {f.name}" for f in fields(report) if f.name != "events"]
+        f"{case}: {f.name}" for case in (label, taxed)
+        for f in fields(report) if f.name != "events"]
     assert f"{label}: welfare_mean={report.welfare_mean!r}" in lines
     assert f"{label}: user_wait_mean={report.user_wait_mean.tolist()!r}" in lines
     assert f"{label}: type_wait_mean={report.type_wait_mean!r}" in lines
     assert report.included_high > 0 and report.included_low > 0
+    assert f"{taxed}: taxes_paid={taxed_report.taxes_paid!r}" in lines
+    assert all(t != 0.0 for t in taxed_report.taxes_paid)
     r = unconstrained_optimum_oracle(SystemParams(), 50)
     assert (tmp_path / "oracle.txt").read_text() == (
         f"defaults: welfare={r.welfare!r} fee={r.fee!r} q_high={r.q_high!r} "

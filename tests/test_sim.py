@@ -79,6 +79,18 @@ def test_fee_and_tax_conservation_exact():
     assert all(f > 0 for f in report.fees_debited)
 
 
+def test_fee_total_covers_the_window():
+    """The fee ledger counts the post-warm-up inclusions, like the tax
+    ledger, the payoffs and `included_*`: each fee class pays sbar * rho per
+    transaction included from the window."""
+    prof = StrategyProfile(RatePair(1.0, 1.0), RatePair(1.0, 1.0))
+    report = run(config(prof, reps=1, warmup=0.3))
+    sbar = TWO_USERS.mean_tx_size
+    fees = ([sbar * BOTH_OK.rho_high] * report.included_high
+            + [sbar * BOTH_OK.rho_low] * report.included_low)
+    assert report.fees_debited == report.fees_credited == [math.fsum(fees)]
+
+
 def test_two_class_waiting_matches_hand_value():
     prof = StrategyProfile(RatePair(1.0, 1.0), RatePair(1.0, 1.0))
     results = validate_lemma1(TWO_USERS, BOTH_OK, prof, replications=6,
@@ -234,6 +246,18 @@ def test_block_priority_audit_and_selection_replay(monkeypatch, menu, prof, tied
         math.fsum(cfg.horizon - t for t in left), rel=1e-12)
 
 
+def _window_inclusions(report, cfg):
+    """Per user, the inclusions in the event log of transactions generated
+    after the warm-up."""
+    t_start = cfg.warmup * cfg.horizon
+    gen_time = {(e[2], e[3]): e[0] for e in report.events if e[1] == "gen"}
+    included = [0] * cfg.params.n_users
+    for e in report.events:
+        if e[1] == "include" and gen_time[(e[2], e[3])] >= t_start:
+            included[e[2]] += 1
+    return included
+
+
 def test_tax_total_matches_pairwise_sum():
     """The reported tax total is the correctly rounded sum over every
     ordered pair of distinct users of what the first pays the second."""
@@ -243,17 +267,45 @@ def test_tax_total_matches_pairwise_sum():
     cfg = config(StrategyProfile(RatePair(0, 0), RatePair(0, 0)), params=p, tax=tax,
                  reps=1, warmup=0.3, per_user_rates=rates, log_events=True)
     report = run(cfg)
-    t_start = cfg.warmup * cfg.horizon
-    gen_time = {(e[2], e[3]): e[0] for e in report.events if e[1] == "gen"}
-    included = np.zeros(p.n_users)
-    for e in report.events:
-        if e[1] == "include" and gen_time[(e[2], e[3])] >= t_start:
-            included[e[2]] += 1
+    included = _window_inclusions(report, cfg)
     kind = ["H"] * p.n_users_high + ["L"] * p.n_users_low
     entry = {"HH": tax.p_hh, "HL": tax.p_hl, "LH": tax.p_lh, "LL": tax.p_ll}
     pairwise = math.fsum(included[u] * entry[kind[u] + kind[v]]
                          for u in range(p.n_users) for v in range(p.n_users) if u != v)
     assert report.taxes_paid == report.taxes_received == [pairwise]
+
+
+# both signs, zero and subnormal entries down to the smallest double, and
+# magnitudes from 1e-12 to 1e2, whose exact sum a float running sum misses
+_TAX_ENTRY = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+              | st.floats(-1e2, 1e2) | st.floats(1e-12, 1e-9) | st.floats(-1e-9, -1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_h=st.integers(1, 30), n_l=st.integers(1, 30),
+       entries=st.tuples(_TAX_ENTRY, _TAX_ENTRY, _TAX_ENTRY, _TAX_ENTRY),
+       horizon=st.floats(1.0, 20.0), warmup=st.sampled_from([0.0, 0.3]))
+@example(seed=3, n_h=1, n_l=30, entries=(2.5, -1e-12, 5e-324, 7.0), horizon=10.0, warmup=0.3)
+@example(seed=4, n_h=30, n_l=1, entries=(-3e-7, 1e2, -5e-324, 1.5), horizon=10.0, warmup=0.0)
+@example(seed=5, n_h=1, n_l=1, entries=(1.0, 1.0, 1.0, 1.0), horizon=20.0, warmup=0.0)
+def test_tax_total_matches_pairwise_fraction_reference(seed, n_h, n_l, entries, horizon,
+                                                       warmup):
+    """The reported tax total, bit for bit, against the exact sum of the
+    explicit pairwise multiset (`reference.pairwise_tax_total`), with the
+    post-warm-up inclusion counts read from the event log. Every user sends
+    at one rate, 0.9 mu over all of them, so a user has a few inclusions
+    and most counts repeat across many users; a type of one user pays no
+    one of its own type."""
+    params = replace(SystemParams(), n_users_high=n_h, n_users_low=n_l)
+    rate = 0.45 * params.block_rate / params.n_users
+    profile = StrategyProfile(RatePair(rate, rate), RatePair(rate, rate))
+    tax = TaxVector(*entries)
+    cfg = config(profile, horizon=horizon, seed=seed, reps=1, params=params, tax=tax,
+                 warmup=warmup, log_events=True)
+    report = run(cfg)
+    want = reference.pairwise_tax_total(_window_inclusions(report, cfg), n_h, tax)
+    assert _bits(report.taxes_paid[0]) == _bits(want)
+    assert report.taxes_received == report.taxes_paid
 
 
 def _reference_fifo_served(arrivals, blocks, taken=frozenset()):
