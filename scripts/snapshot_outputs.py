@@ -19,7 +19,11 @@ horizon, arrays as lists, on each Lemma-1 profile, untaxed, and on the
 optimal mechanism's menu, tax and equilibrium profile at the defaults and
 at 1000 users per type: unlike the two `fwt simulate` runs, whose users all
 pay the low fee, the Lemma-1 profiles serve both fee classes, and the two
-taxed cases pin the tax totals at full precision. Only `fwt.cli.main`,
+taxed cases pin the tax totals at full precision. `exit_codes.txt` holds,
+for each argv of a fixed list of failing inputs, the exit code and the last
+line of stderr of `python -m fwt.cli`, run in a subprocess in the output
+directory, so that a traceback is recorded rather than fatal and a change
+of error class shows. Only `fwt.cli.main`,
 `fwt.checks.run_suite`, `fwt.checks.prop2_draws`,
 `fwt.checks.lemma1_profiles`, `fwt.mechanism.optimal_mechanism` (its
 `menu`, `tax` and `outcome.profile`),
@@ -29,9 +33,12 @@ the script runs against any tree that has them.
 """
 import argparse
 import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import fwt
 from fwt.checks import SUITES, lemma1_profiles, prop2_draws, run_suite
 from fwt.cli import main as fwt_main
 from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
@@ -61,6 +68,27 @@ COMMANDS += [
     ("simulate_uniform.json", ["simulate", "--seed", "1", "--replications", "3",
                                "--horizon", "2000", "--tax-split", "uniform",
                                "--events", "{events}"]),
+]
+# argv that fail: faults of the program first, then invalid inputs; paths
+# are relative to the output directory, where none of them exists
+FAILING = [
+    ["solve", "--param", "impatience=1e-36"],
+    ["solve", "--param", "block_rate=1e308"],
+    ["solve", "--param", "mean_tx_size=1e-320"],
+    ["sweep", "--axis", "gamma", "--range", "0:1e-36", "--steps", "3"],
+    ["solve", "--param", "n_users_high=0"],
+    ["solve", "--param", "bogus=1"],
+    ["solve", "--param", "impatience=abc"],
+    ["solve", "--param", "nonsense"],
+    ["solve", "--hetero", "ratio=abc"],
+    ["solve", "--hetero", "ratio=0.5"],
+    ["solve", "--config", "missing.cfg"],
+    ["solve", "--out", "missing/solve.json"],
+    ["sweep", "--axis", "gamma", "--range", "0:nan"],
+    ["simulate", "--warmup", "0.9"],
+    ["simulate", "--seed", "-1"],
+    ["check", "prop2", "--budget", "1"],
+    ["check", "corollary2", "--seed", "0"],
 ]
 CHECKS = sorted(SUITES)
 ORACLE_POINTS = ([(f"prop2_draws(0)[{i}]", p) for i, p in enumerate(prop2_draws(0))]
@@ -100,6 +128,18 @@ def sim_lines():
                 yield f"{label}: {field.name}={value!r}"
 
 
+def exit_code_lines(out_dir):
+    # the subprocess imports the same fwt as this script, from any directory
+    src = str(Path(fwt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for cmd in FAILING:
+        proc = subprocess.run([sys.executable, "-m", "fwt.cli", *cmd], cwd=out_dir, env=env,
+                              capture_output=True, text=True)
+        last = (proc.stderr.splitlines() or [""])[-1]
+        yield f"fwt {' '.join(cmd)}: exit {proc.returncode}: {last}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -126,6 +166,9 @@ def main(argv=None):
     print(path)
     path = out_dir / "sim.txt"
     path.write_text("\n".join(sim_lines()) + "\n")
+    print(path)
+    path = out_dir / "exit_codes.txt"
+    path.write_text("\n".join(exit_code_lines(out_dir)) + "\n")
     print(path)
     return 0
 

@@ -22,7 +22,7 @@ from .mechanism import (
     unconstrained_optimum_oracle,
 )
 from .miner_game import PendingTx, TxPool, check_miner_nash, equilibrium_selection
-from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
+from .model import FeeMenu, InvalidInput, RatePair, StrategyProfile, SystemParams, TaxVector
 from .sim import SimConfig, run as run_sim
 from .user_game import best_response_check, sne_select, waiting_rate
 
@@ -136,8 +136,8 @@ def user_ne_sweep_points(points_per_axis: int = 5) -> list[tuple[float, float, f
 def check_user_ne(points_per_axis: int = 5, grid: int = 101) -> CheckResult:
     """Every selected SNE survives a grid best-response search."""
     if points_per_axis < 2:
-        raise ValueError(f"points_per_axis must be at least 2 (one point is a "
-                         f"NoGeneration equilibrium), got {points_per_axis}")
+        raise InvalidInput(f"points_per_axis must be at least 2 (one point is a "
+                           f"NoGeneration equilibrium), got {points_per_axis}")
 
     details = []
     failures = 0
@@ -208,8 +208,8 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
     and at least two replications, so that the interval exists.
     """
     if replications < 2:
-        raise ValueError(f"replications must be at least 2 to form a Student-t "
-                         f"interval, got {replications}")
+        raise InvalidInput(f"replications must be at least 2 to form a Student-t "
+                           f"interval, got {replications}")
     if horizon is None:
         horizon = 1e5 / params.block_rate
     analytic = {t: waiting_rate(t, profile, menu, params) for t in ("H", "L")}
@@ -315,8 +315,8 @@ def check_fairness(points: int = 20, tol: float = 1e-9) -> CheckResult:
     they count as trivially fair since all payoffs are equal.
     """
     if points < 2:
-        raise ValueError(f"points must be at least 2 (the one point is a "
-                         f"no-generation point), got {points}")
+        raise InvalidInput(f"points must be at least 2 (the one point is a "
+                           f"no-generation point), got {points}")
 
     details = []
     failures = 0
@@ -386,14 +386,14 @@ SUITES = {
 
 def run_suite(name: str, budget: int | None = None, seed: int | None = None) -> CheckResult:
     """Run one suite; `budget` (at least 1) replaces its sample budget and
-    `seed` its seed. An option the suite does not take is a `ValueError`."""
+    `seed` its seed. An option the suite does not take is `InvalidInput`."""
     if name not in SUITES:
-        raise KeyError(f"unknown check suite {name!r}; choose from {sorted(SUITES)}")
+        raise InvalidInput(f"unknown check suite {name!r}; choose from {sorted(SUITES)}")
     options = {key: value for key, value in (("budget", budget), ("seed", seed))
                if value is not None}
     ignored = options.keys() - inspect.signature(SUITES[name]).parameters.keys()
     if ignored:
-        raise ValueError(f"check suite {name!r} takes no {' or '.join(sorted(ignored))}")
+        raise InvalidInput(f"check suite {name!r} takes no {' or '.join(sorted(ignored))}")
     if budget is not None and budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+        raise InvalidInput(f"budget must be at least 1, got {budget}")
     return SUITES[name](**options)

@@ -1,9 +1,9 @@
 """Command-line harness: solve / sweep / simulate / check.
 
-Machine-readable output only (JSON and CSV); exit codes are 0 for success,
-1 for a failed check, 2 for invalid input, 3 for an internal error, and
-141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout closed
-it early.
+Machine-readable output only (JSON and CSV). Exit codes: 0 success, 1 a
+failed check, 2 `InvalidInput`, 3 any other exception (one stderr line
+`internal error: <Type>: <message>`), and 141 (128 + SIGPIPE, as a shell
+reports it) when the reader of stdout closed it early.
 """
 from __future__ import annotations
 
@@ -31,12 +31,12 @@ from .mechanism import (
 )
 from .model import (
     HeteroCostParams,
+    InvalidInput,
     SystemParams,
     params_from_mapping,
     parse_config,
-    validate_params,
+    require_valid,
 )
-from .queue import InvariantError
 from .sim import SimConfig, run as run_sim
 
 __all__ = ["main", "jain_index"]
@@ -50,37 +50,38 @@ EXIT_BROKEN_PIPE = 141
 
 def _load_params(args) -> SystemParams:
     """The config file's lines, then each `--param key=value` (last wins)."""
-    mapping = parse_config(Path(args.config).read_text()) if args.config else {}
+    try:
+        mapping = parse_config(Path(args.config).read_text()) if args.config else {}
+    except (OSError, UnicodeError) as exc:
+        raise InvalidInput(exc) from None
     for item in args.param or []:
         if "=" not in item:
-            raise ValueError(f"override must be key=value, got {item!r}")
+            raise InvalidInput(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    params = params_from_mapping(mapping)
-    errors = validate_params(params)
-    if errors:
-        raise InvalidInput("; ".join(errors))
-    return params
+    return require_valid(params_from_mapping(mapping))
 
 
-class InvalidInput(Exception):
-    """Signals exit code 2 with a validation report."""
+class _Seed(argparse.Action):
+    """`--seed`, an action: argparse makes a `type`'s ValueError a usage error."""
 
-
-def _seed(text: str) -> int:
-    """The argparse type of `--seed`: numpy seeds with non-negative ints."""
-    if not text.isdecimal():
-        raise InvalidInput("--seed must be a non-negative integer")
-    return int(text)
+    def __call__(self, parser, namespace, text, option_string=None):
+        if not text.isdecimal():
+            raise InvalidInput("--seed must be a non-negative integer")
+        setattr(namespace, self.dest, int(text))
 
 
 def _parse_hetero(spec: str, params: SystemParams) -> HeteroCostParams:
     """Parse `ratio=X`: the high tier costs X times `storage_cost_per_byte`."""
     key, _, value = spec.partition("=")
-    if key.strip() != "ratio" or not value or "," in value:
+    try:
+        ratio = float(value) if key.strip() == "ratio" else math.nan
+    except ValueError:
+        ratio = math.nan
+    if math.isnan(ratio):
         raise InvalidInput(f"--hetero takes ratio=<x>, got {spec!r}")
     cost_low = params.storage_cost_per_byte
-    return HeteroCostParams(cost_low=cost_low, cost_high=float(value) * cost_low)
+    return HeteroCostParams(cost_low=cost_low, cost_high=ratio * cost_low)
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -94,7 +95,10 @@ def _csv_text(header: list[str], rows) -> str:
 
 def _emit(payload: str, out: str | None):
     if out:
-        Path(out).write_text(payload)
+        try:
+            Path(out).write_text(payload)
+        except OSError as exc:
+            raise InvalidInput(exc) from None
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -171,8 +175,8 @@ SWEEP_COLUMNS = [
 
 def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int,
                tax_split: str = "fairness"):
-    """One CSV row per sweep point; per-point failures land in `error`, but
-    an internal `InvariantError` stops the sweep."""
+    """One CSV row per sweep point; a point's invalid input lands in `error`,
+    and any other exception stops the sweep."""
     values = np.linspace(lo, hi, steps)
     rows = []
     for value in values:
@@ -225,10 +229,8 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 "existing_converged": existing.converged,
                 "existing_cycle_len": existing.cycle_len,
             })
-        except InvariantError:
-            raise
-        except Exception as exc:  # per-point failure, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
+        except InvalidInput as exc:
+            row["error"] = str(exc)
         rows.append(row)
     return rows
 
@@ -241,10 +243,9 @@ def cmd_sweep(args) -> int:
     lo, hi = _PAPER_N_RANGE if args.paper_scale else _SWEEP_DEFAULTS[args.axis]
     if args.range:
         try:
-            lo_s, hi_s = args.range.split(":", 1)
-            lo, hi = float(lo_s), float(hi_s)
+            lo, hi = map(float, args.range.split(":", 1))
         except ValueError:
-            raise InvalidInput(f"bad --range {args.range!r}, expected lo:hi")
+            raise InvalidInput(f"bad --range {args.range!r}, expected lo:hi") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInput(f"bad --range {args.range!r}, bounds must be finite")
     if args.steps < 1:
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at the solved SNE")
     common(p_sim)
     p_sim.add_argument("--hetero", metavar="ratio=X")
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--seed", action=_Seed, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--replications", type=int, default=10)
     p_sim.add_argument("--warmup", type=float, default=0.1)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("--budget", type=int, default=None,
                          help="suite-specific sample budget")
-    p_check.add_argument("--seed", type=_seed, default=None,
+    p_check.add_argument("--seed", action=_Seed, default=None,
                          help="seed of a suite that draws random numbers")
     p_check.add_argument("--out")
     p_check.set_defaults(fn=cmd_check)
@@ -364,16 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except BrokenPipeError:
         # The reader of stdout is gone (`fwt solve | head -1`): not an input
         # error. Point stdout at devnull so that the flush at exit cannot
@@ -382,9 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except Exception as exc:    # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

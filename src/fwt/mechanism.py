@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (FeeMenu, HeteroCostParams, SneKind, SystemParams, TaxVector,
-                    require_valid)
+from .model import (FeeMenu, HeteroCostParams, InvalidInput, SneKind, SystemParams,
+                    TaxVector, require_valid)
 from .queue import InvariantError, by_role, split_roles, welfare_rate
 from .user_game import (SneOutcome, _both_rates, _only_b_rates, _rates_at, sne_select,
                         user_payoff)
@@ -332,8 +332,8 @@ def unconstrained_optimum_oracle(params: SystemParams,
     """
     require_valid(params)
     if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2 (a one-point fee axis "
-                         f"holds only fee 0), got {grid_points}")
+        raise InvalidInput(f"grid_points must be at least 2 (a one-point fee axis "
+                           f"holds only fee 0), got {grid_points}")
     fee_grid, q_grid, table = _welfare_table(params, grid_points)
 
     f, k = np.unravel_index(int(np.argmax(table)), table.shape)

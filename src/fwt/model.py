@@ -20,6 +20,7 @@ __all__ = [
     "SneKind",
     "StrategyProfile",
     "HeteroCostParams",
+    "InvalidInput",
     "validate_params",
     "require_valid",
     "params_from_mapping",
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 _POWER_SUM_TOL = 1e-12
+
+
+class InvalidInput(ValueError):
+    """A value from outside the program failed its check: exit 2, not a bug."""
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,9 @@ def validate_params(p: SystemParams) -> list[str]:
     for name in sorted(_FLOAT_FIELDS):
         if not math.isfinite(getattr(p, name)):
             errors.append(f"{name} must be finite")
-    if p.n_users_high < 1:
-        errors.append("n_users_high must be >= 1")
-    if p.n_users_low < 1:
-        errors.append("n_users_low must be >= 1")
-    if p.n_miners < 1:
-        errors.append("n_miners must be >= 1")
+    for name in ("n_users_high", "n_users_low", "n_miners"):
+        if getattr(p, name) < 1:
+            errors.append(f"{name} must be >= 1")
     if not p.block_rate > 0:
         errors.append("block_rate must be positive")
     if p.impatience < 0:
@@ -112,10 +114,10 @@ def validate_params(p: SystemParams) -> list[str]:
 
 
 def require_valid(p: SystemParams) -> SystemParams:
-    """Raise ValueError listing every violated invariant; return p unchanged."""
+    """Raise InvalidInput listing every violated invariant; return p unchanged."""
     errors = validate_params(p)
     if errors:
-        raise ValueError("invalid parameters: " + "; ".join(errors))
+        raise InvalidInput("invalid parameters: " + "; ".join(errors))
     return p
 
 
@@ -221,7 +223,7 @@ class HeteroCostParams:
 
     def __post_init__(self):
         if not (self.cost_high >= self.cost_low > 0):
-            raise ValueError(
+            raise InvalidInput(
                 f"requires cost_high >= cost_low > 0, got ({self.cost_high}, {self.cost_low})"
             )
 
@@ -246,18 +248,19 @@ def params_from_mapping(mapping: dict[str, str]) -> SystemParams:
     """Build SystemParams from string key-value pairs (config or CLI)."""
     kwargs = {}
     for key, raw in mapping.items():
-        if key in _INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(raw)
-        elif key == "mining_power":
-            value = raw.strip()
-            if value in ("", "uniform"):
-                kwargs[key] = None
+        if key not in _INT_FIELDS | _FLOAT_FIELDS | {"mining_power"}:
+            raise InvalidInput(f"unknown parameter {key!r}")
+        try:
+            if key in _INT_FIELDS:
+                kwargs[key] = int(raw)
+            elif key in _FLOAT_FIELDS:
+                kwargs[key] = float(raw)
             else:
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-        else:
-            raise KeyError(f"unknown parameter {key!r}")
+                value = raw.strip()
+                kwargs[key] = (None if value in ("", "uniform")
+                               else tuple(float(v) for v in value.split(",")))
+        except ValueError as exc:       # a number that does not parse
+            raise InvalidInput(exc) from None
     return SystemParams(**kwargs)
 
 
@@ -269,7 +272,7 @@ def parse_config(text: str) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise InvalidInput(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping

@@ -57,7 +57,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import FeeMenu, RatePair, StrategyProfile, SystemParams, TaxVector
+from .model import FeeMenu, InvalidInput, RatePair, StrategyProfile, SystemParams, TaxVector
 
 __all__ = [
     "SimConfig",
@@ -82,14 +82,14 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
+            raise InvalidInput("horizon must be positive and finite")
         if not (0.0 <= self.warmup <= 0.5):
-            raise ValueError("warmup must be in [0, 0.5]")
+            raise InvalidInput("warmup must be in [0, 0.5]")
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise InvalidInput("need at least one replication")
         if (self.per_user_rates is not None
                 and len(self.per_user_rates) != self.params.n_users):
-            raise ValueError("per_user_rates must have one entry per user")
+            raise InvalidInput("per_user_rates must have one entry per user")
 
     def user_rates(self) -> np.ndarray:
         """Rates (at rho_high, at rho_low), one row per user."""

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,17 +7,19 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fwt.cli
 import fwt.mechanism
 from fwt.checks import criterion_grid, jain_index
 from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
-from fwt.model import SystemParams
+from fwt.model import SystemParams, validate_params
 from fwt.queue import InvariantError
 
 
@@ -80,15 +83,75 @@ SOLVE_AND_SWEEP = pytest.mark.parametrize(
 
 
 @SOLVE_AND_SWEEP
-def test_internal_error_exits_3(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("error", [InvariantError, ValueError, KeyError, ZeroDivisionError,
+                                   OSError])
+def test_internal_error_exits_3(capsys, monkeypatch, argv, error):
+    """Any exception but `InvalidInput` is a fault of the program, even a
+    `ValueError`, or an `OSError` away from --config and --out: exit 3 with
+    one line naming its type, and a sweep stops instead of writing a row."""
+    exc = error("negative square-root argument on an active branch")
+
     def broken(*args, **kwargs):
-        raise InvariantError("negative square-root argument on an active branch")
+        raise exc
 
     monkeypatch.setattr(fwt.cli, "optimal_mechanism", broken)
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: negative square-root")
+    assert err == f"internal error: {error.__name__}: {exc}\n"
+
+
+def test_sweep_point_fault_exits_3_with_nothing_on_stdout(capsys):
+    """At gamma = 5e-37 the closed form cancels to a division by zero: the
+    sweep stops with exit 3 instead of writing an `error` row."""
+    code, out, err = run_cli(["sweep", "--axis", "gamma", "--range", "0:1e-36",
+                              "--steps", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ZeroDivisionError: ")
+    assert len(err.splitlines()) == 1
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+_NONNEGATIVE = st.floats(min_value=0.0, **_FINITE)
+_COUNT = st.integers(1, 10 ** 12)
+
+
+@st.composite
+def _valid_params(draw):
+    """A point `validate_params` accepts (uniform mining power), with the
+    impatience also drawn log-uniformly so that tiny and huge gammas occur."""
+    low, high = sorted(draw(st.tuples(_NONNEGATIVE, _NONNEGATIVE)))
+    gamma = st.one_of(_NONNEGATIVE, st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e))
+    return SystemParams(
+        n_users_high=draw(_COUNT), n_users_low=draw(_COUNT), n_miners=draw(_COUNT),
+        block_rate=draw(_POSITIVE), impatience=draw(gamma), mean_tx_size=draw(_POSITIVE),
+        storage_cost_per_byte=draw(_NONNEGATIVE), utility_high=high, utility_low=low)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_valid_params())
+@example(params=SystemParams(impatience=1e-36))     # a ZeroDivisionError escaped: exit 1
+@example(params=SystemParams(block_rate=1e308))     # the same
+@example(params=SystemParams(mean_tx_size=1e-320))  # FeeMenu's ValueError read as exit 2
+def test_solve_on_valid_params_is_a_result_or_an_internal_error(params):
+    """Once `validate_params` accepts a point, `fwt solve` prints a result
+    (exit 0) or reports a fault of the program in one line (exit 3): never
+    a failed check (1), never invalid input (2), never a traceback."""
+    assert validate_params(params) == []
+    argv = ["solve"]
+    for field in fields(SystemParams):
+        if field.name != "mining_power":
+            argv += ["--param", f"{field.name}={getattr(params, field.name)!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), (code, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"internal error: \w+: [^\n]*\n", err.getvalue())
 
 
 @SOLVE_AND_SWEEP
@@ -161,10 +224,14 @@ def test_closed_pipe_exits_141_silently():
 
 
 def test_out_path_in_missing_directory_is_invalid_input(tmp_path, capsys):
-    code, out, err = run_cli(["solve", "--out", str(tmp_path / "no" / "x.json")], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("invalid input:")
+    """An --out or --events path is the user's, checked where it is opened."""
+    missing = str(tmp_path / "no" / "x")
+    for argv in (["solve", "--out", missing],
+                 ["simulate", "--horizon", "50", "--replications", "2", "--events", missing]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
 
 
 def test_solve_param_override_and_validation(capsys):
@@ -201,7 +268,7 @@ def test_solve_hetero_ratio(capsys):
 
 
 @pytest.mark.parametrize("spec", ["cost_low=1e-9", "ratio=2,split=0.5",
-                                  "ratio=2,cost_low=1e-9", "ratio", "split=0.5"])
+                                  "ratio=2,cost_low=1e-9", "ratio", "split=0.5", "ratio=abc"])
 def test_hetero_takes_ratio_only(capsys, spec):
     code, out, err = run_cli(["solve", "--hetero", spec], capsys)
     assert code == 2
@@ -234,9 +301,9 @@ def test_param_and_config_keys_combine(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, param, message", [
     ("impatience = 2e-4\n", "nonsense", "override must be key=value, got 'nonsense'"),
-    (None, "bogus=1", "\"unknown parameter 'bogus'\""),
-    ("bogus = 1\n", None, "\"unknown parameter 'bogus'\""),
-    ("bogus = 1\n", "impatience=1e-4", "\"unknown parameter 'bogus'\""),
+    (None, "bogus=1", "unknown parameter 'bogus'"),
+    ("bogus = 1\n", None, "unknown parameter 'bogus'"),
+    ("bogus = 1\n", "impatience=1e-4", "unknown parameter 'bogus'"),
     (None, "impatience=abc", "could not convert string to float: 'abc'"),
     ("impatience = abc\n", None, "could not convert string to float: 'abc'"),
 ], ids=["param_no_equals_with_config", "param_unknown_key",
@@ -268,6 +335,17 @@ def test_solve_config_file(tmp_path, capsys):
     code2, _, err = run_cli(["solve", "--config", str(tmp_path / "missing.cfg")],
                             capsys)
     assert code2 == 2
+
+
+def test_unreadable_config_is_invalid_input(tmp_path, capsys):
+    """A --config file that is missing, a directory or not UTF-8 text is the
+    user's mistake, reported where the file is opened."""
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"impatience = \xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        code, out, err = run_cli(["solve", "--config", str(path)], capsys)
+        assert (code, out) == (2, ""), path
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1, err
 
 
 def test_sweep_gamma_csv(tmp_path, capsys):
@@ -357,6 +435,18 @@ def test_sweep_cost_ratio(capsys):
     assert len(fees) == 1
 
 
+def test_sweep_cost_ratio_below_one_is_an_error_row(capsys):
+    """A ratio below 1 is a point's invalid input: it lands in `error`, as
+    the message alone, and the sweep exits 0."""
+    code, out, err = run_cli(["sweep", "--axis", "cost_ratio", "--range", "0.5:2",
+                              "--steps", "2"], capsys)
+    assert (code, err) == (0, "")
+    low, high = csv.DictReader(io.StringIO(out))
+    assert low["error"] == "requires cost_high >= cost_low > 0, got (2.5e-10, 5e-10)"
+    assert low["fwt_welfare"] == ""
+    assert high["error"] == "" and float(high["fwt_welfare"]) > 0
+
+
 def test_sweep_payoffs_decrease_in_user_count(capsys):
     code, out, _ = run_cli(["sweep", "--axis", "n_users", "--steps", "5",
                             "--range", "100:1000"], capsys)
@@ -378,13 +468,25 @@ def test_simulate_short_run(tmp_path, capsys):
     assert events.read_text().startswith("time,event_type")
 
 
-@pytest.mark.parametrize("horizon", ["inf", "0"])
+@pytest.mark.parametrize("horizon", ["inf", "0", "nan"])
 def test_simulate_rejects_bad_horizon(capsys, horizon):
     code, out, err = run_cli(["simulate", "--horizon", horizon, "--replications", "1"],
                              capsys)
     assert code == 2
     assert out == ""
     assert "horizon" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--warmup", "0.9", "warmup must be in [0, 0.5]"),
+    ("--warmup", "nan", "warmup must be in [0, 0.5]"),
+    ("--replications", "0", "need at least one replication"),
+], ids=["warmup-0.9", "warmup-nan", "replications-0"])
+def test_simulate_options_checked_by_sim_config_are_invalid_input(capsys, option, value,
+                                                                   message):
+    """`SimConfig` checks these options for the CLI, so they stay exit 2."""
+    assert run_cli(["simulate", option, value], capsys) == (
+        2, "", f"invalid input: {message}\n")
 
 
 def test_simulate_deterministic(capsys):

@@ -603,7 +603,8 @@ def test_oracle_raises_when_its_table_is_not_its_winners_welfare(monkeypatch, ca
     with pytest.raises(InvariantError, match="welfare table entry nan"):
         unconstrained_optimum_oracle(SystemParams(), 12)
     assert main(["check", "prop2", "--budget", "12"]) == 3
-    assert capsys.readouterr().err.startswith("internal error: welfare table entry nan")
+    assert capsys.readouterr().err.startswith(
+        "internal error: InvariantError: welfare table entry nan")
 
 
 def test_oracle_certifies_case2_on_finer_grid():

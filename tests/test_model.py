@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fwt.cli import _load_params
 from fwt.model import (
     FeeMenu,
+    InvalidInput,
     RatePair,
     SystemParams,
     TaxVector,
@@ -126,7 +127,7 @@ def test_config_comments_and_errors():
     assert mapping == {"block_rate": "10.0", "n_miners": "5"}
     with pytest.raises(ValueError):
         parse_config("not a key value line")
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidInput):
         params_from_mapping({"bogus": "1"})
 
 

@@ -97,15 +97,18 @@ def test_validate_against_simulator_rejects_negative_seed(capsys):
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve, one check suite, one oracle
-    point, one Lemma-1 profile and the taxed optimal mechanism at the
-    defaults, the script writes the solve JSON as `fwt solve` prints it, the
-    suite's pass flag and detail lines, the repr of every field of the
-    oracle's result, and the repr of every simulator report field but the
-    event log."""
+    point, one Lemma-1 profile, the taxed optimal mechanism at the defaults
+    and two failing argv, the script writes the solve JSON as `fwt solve`
+    prints it, the suite's pass flag and detail lines, the repr of every
+    field of the oracle's result, the repr of every simulator report field
+    but the event log, and each failing argv's exit code and last stderr
+    line as `fwt.cli.main` gives them."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     script = _load_script("snapshot_outputs")
     monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
     monkeypatch.setattr(script, "CHECKS", ["corollary2"])
+    failing = [["solve", "--param", "bogus=1"], ["solve", "--param", "impatience=1e-36"]]
+    monkeypatch.setattr(script, "FAILING", failing)
     monkeypatch.setattr(script, "ORACLE_POINTS", [("defaults", SystemParams())])
     label, params, menu, profile = lemma1_profiles()[0]
     mech = optimal_mechanism(SystemParams())
@@ -118,7 +121,7 @@ def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypa
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "check_corollary2.txt", "oracle.txt", "sim.txt", "solve.json"]
+        "check_corollary2.txt", "exit_codes.txt", "oracle.txt", "sim.txt", "solve.json"]
     report = run(SimConfig(params=params, menu=menu, tax=TaxVector.zero(), profile=profile,
                            horizon=200.0, seed=1, replications=3))
     taxed_report = run(SimConfig(params=SystemParams(), menu=mech.menu, tax=mech.tax,
@@ -141,6 +144,16 @@ def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypa
         f"rate_low_type={r.rate_low_type!r}\n")
     assert fwt_main(["solve"]) == 0
     assert (tmp_path / "solve.json").read_text() + "\n" == capsys.readouterr().out
+    codes = []
+    for argv in failing:
+        code = fwt_main(argv)
+        last = capsys.readouterr().err.splitlines()[-1]
+        codes.append(f"fwt {' '.join(argv)}: exit {code}: {last}")
+    assert codes == [
+        "fwt solve --param bogus=1: exit 2: invalid input: unknown parameter 'bogus'",
+        "fwt solve --param impatience=1e-36: exit 3: internal error: ZeroDivisionError: "
+        "float division by zero"]
+    assert (tmp_path / "exit_codes.txt").read_text().splitlines() == codes
     suite = run_suite("corollary2")
     assert (tmp_path / "check_corollary2.txt").read_text().splitlines() == (
         [f"passed: {suite.passed}"] + suite.details)
