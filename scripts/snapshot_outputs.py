@@ -13,7 +13,12 @@ The commands are `fwt solve` variants, the evaluation sweeps, two seeded
 written as its pass flag and detail lines. `oracle.txt` holds the `repr`
 of every field of the welfare grid oracle's result at 50 points for
 `prop2_draws(0)`, `prop2_draws(1, 12, 13)` and the defaults, which the
-checks print only to six digits. `sim.txt` holds the `repr` of every field
+checks print only to six digits. `stage2.txt` holds the `repr` of every
+field of `fwt.user_game.sne_select`'s outcome, or the class and message of
+what it raised, over a fixed list of menus, taxes and parameters that
+reach all three kinds of equilibrium, a refused low fee, gamma = 0,
+C_s = 0, both role assignments and the optimal mechanism at a gamma whose
+`gamma ** 2` and `gamma * gamma` differ. `sim.txt` holds the `repr` of every field
 but the event log of `fwt.sim.run` at seed 1, 3 replications and a 200 s
 horizon, arrays as lists, on each Lemma-1 profile, untaxed, and on the
 optimal mechanism's menu, tax and equilibrium profile at the defaults and
@@ -27,9 +32,10 @@ of error class shows. Only `fwt.cli.main`,
 `fwt.checks.run_suite`, `fwt.checks.prop2_draws`,
 `fwt.checks.lemma1_profiles`, `fwt.mechanism.optimal_mechanism` (its
 `menu`, `tax` and `outcome.profile`),
-`fwt.mechanism.unconstrained_optimum_oracle`, `fwt.model.SystemParams`,
-`fwt.model.TaxVector`, `fwt.sim.SimConfig` and `fwt.sim.run` are used, so
-the script runs against any tree that has them.
+`fwt.mechanism.unconstrained_optimum_oracle`, `fwt.model.FeeMenu`,
+`fwt.model.SystemParams`, `fwt.model.TaxVector`, `fwt.sim.SimConfig`,
+`fwt.sim.run` and `fwt.user_game.sne_select` are used, so the script runs
+against any tree that has them.
 """
 import argparse
 import dataclasses
@@ -42,8 +48,9 @@ import fwt
 from fwt.checks import SUITES, lemma1_profiles, prop2_draws, run_suite
 from fwt.cli import main as fwt_main
 from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
-from fwt.model import SystemParams, TaxVector
+from fwt.model import FeeMenu, SystemParams, TaxVector
 from fwt.sim import SimConfig, run
+from fwt.user_game import sne_select
 from run_evaluation_sweeps import COST_RATIO_PARAMS, STEPS
 
 # (output file, fwt argv); "{events}" becomes the path of the file's event log
@@ -87,6 +94,7 @@ FAILING = [
     ["sweep", "--axis", "gamma", "--range", "0:nan"],
     ["simulate", "--warmup", "0.9"],
     ["simulate", "--seed", "-1"],
+    ["simulate", "--events", "missing/e.csv"],
     ["check", "prop2", "--budget", "1"],
     ["check", "corollary2", "--seed", "0"],
 ]
@@ -95,6 +103,53 @@ ORACLE_POINTS = ([(f"prop2_draws(0)[{i}]", p) for i, p in enumerate(prop2_draws(
                  + [(f"prop2_draws(1, 12, 13)[{i}]", p)
                     for i, p in enumerate(prop2_draws(1, 12, 13))]
                  + [("defaults", SystemParams())])
+
+
+def _stage2_cases():
+    """(label, menu, tax, params) for `stage2.txt`."""
+    d = SystemParams()
+    c_s, rho_low = d.storage_cost_per_byte, d.system_storage_per_byte
+    priced_out = FeeMenu(rho_high=1.0, rho_low=rho_low)
+    cheap_high = FeeMenu(rho_high=1.01 * rho_low, rho_low=rho_low)
+    refused_low = FeeMenu(rho_high=2 * c_s, rho_low=0.25 * c_s)
+    # a subsidy lifts L's net utility above H's: B = L
+    b_is_low = TaxVector(p_ll=-1e-3 / (d.n_users_low - 1))
+    nan_gamma = 0.0021120643256403206
+    nan_point = SystemParams(n_users_high=1, n_users_low=1, n_miners=1, block_rate=1.0,
+                             impatience=nan_gamma, mean_tx_size=8.5,
+                             storage_cost_per_byte=0.0, utility_high=nan_gamma,
+                             utility_low=nan_gamma)
+    nan_fee = 0.00014908689357461086
+    nan_tax = TaxVector(p_hl=-0.0012672385953841924, p_lh=-0.0012672385953841924)
+    cases = [
+        ("low fee, defaults", priced_out, TaxVector.zero(), d),
+        ("high fee, defaults", cheap_high, TaxVector.zero(), d),
+        ("no generation", FeeMenu(rho_high=2 * rho_low, rho_low=rho_low), TaxVector.zero(),
+         SystemParams(utility_high=1e-6, utility_low=5e-7)),
+        ("refused low fee", refused_low, TaxVector.zero(), d),
+        ("both fees refused", FeeMenu(rho_high=0.5 * c_s, rho_low=0.25 * c_s),
+         TaxVector.zero(), d),
+        ("gamma = 0, low fee", priced_out, TaxVector.zero(), SystemParams(impatience=0.0)),
+        ("gamma = 0, cheap high fee", cheap_high, TaxVector.zero(),
+         SystemParams(impatience=0.0)),
+        ("gamma = 0, refused low fee", refused_low, TaxVector.zero(),
+         SystemParams(impatience=0.0)),
+        ("C_s = 0, fee 0", FeeMenu(rho_high=1e-5, rho_low=0.0), TaxVector.zero(),
+         SystemParams(storage_cost_per_byte=0.0)),
+        ("B = L, low fee", priced_out, b_is_low, d),
+        ("B = L, high fee", cheap_high, b_is_low, d),
+        ("one high user", priced_out, TaxVector.zero(), SystemParams(n_users_high=1)),
+        ("NaN rates", FeeMenu(rho_high=1.0, rho_low=nan_fee), nan_tax, nan_point),
+    ]
+    for label, params in [("defaults", d),
+                          ("gamma = 6.192956855562239e-05",
+                           SystemParams(impatience=6.192956855562239e-05))]:
+        mech = optimal_mechanism(params)
+        cases.append((f"optimal mechanism, {label}", mech.menu, mech.tax, params))
+    return cases
+
+
+STAGE2_CASES = _stage2_cases()
 
 
 def _optimal_case(label, params):
@@ -115,6 +170,17 @@ def oracle_lines():
         result = unconstrained_optimum_oracle(params, grid_points=50)
         yield label + ": " + " ".join(f"{field.name}={getattr(result, field.name)!r}"
                                       for field in dataclasses.fields(result))
+
+
+def stage2_lines():
+    for label, menu, tax, params in STAGE2_CASES:
+        try:
+            outcome = sne_select(menu, tax, params)
+        except Exception as exc:
+            yield f"{label}: raised {type(exc).__name__}: {exc}"
+            continue
+        yield label + ": " + " ".join(f"{field.name}={getattr(outcome, field.name)!r}"
+                                      for field in dataclasses.fields(outcome))
 
 
 def sim_lines():
@@ -163,6 +229,9 @@ def main(argv=None):
         print(path)
     path = out_dir / "oracle.txt"
     path.write_text("\n".join(oracle_lines()) + "\n")
+    print(path)
+    path = out_dir / "stage2.txt"
+    path.write_text("\n".join(stage2_lines()) + "\n")
     print(path)
     path = out_dir / "sim.txt"
     path.write_text("\n".join(sim_lines()) + "\n")

@@ -101,8 +101,8 @@ def _best_response(r_n: float, n_own: int, other_fi: int, other_load: float,
                 if gamma == 0.0:
                     lam = min(free, cap)
                 else:
-                    lam = min(max(own_rate_float(n_own, margin, gamma * mu / mu1, free), 0.0),
-                              cap)
+                    g = gamma * mu / mu1
+                    lam = min(max(own_rate_float(n_own, margin, g, g * g, free), 0.0), cap)
             payoff = _payoff(n_own, lam, above, same, margin, params)
             if best is None or payoff > best[2]:
                 best = (i, lam, payoff)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -367,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for path in (args.out, getattr(args, "events", None)):  # refused before the work
+            if path and not Path(path).parent.is_dir():
+                raise InvalidInput(FileNotFoundError(errno.ENOENT, "No such file or directory",
+                                                     path))
         return args.fn(args)
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

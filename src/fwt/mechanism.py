@@ -20,7 +20,7 @@ import numpy as np
 from .model import (FeeMenu, HeteroCostParams, InvalidInput, SneKind, SystemParams,
                     TaxVector, require_valid)
 from .queue import InvariantError, by_role, split_roles, welfare_rate
-from .user_game import (SneOutcome, _both_rates, _only_b_rates, _rates_at, sne_select,
+from .user_game import (SneOutcome, _both_rates, _only_b_rates, _type_rates, sne_select,
                         user_payoff)
 
 __all__ = [
@@ -327,8 +327,8 @@ def unconstrained_optimum_oracle(params: SystemParams,
     is evaluated branch by branch, over the grid each branch varies on.
     The winner is the first maximum in (fee, cell) order, so a NaN cell
     becomes the welfare and surfaces in the caller's check. Its rates are
-    solved again through `_rates_at` from its own row sums, and an
-    `InvariantError` is raised unless their welfare is the table's entry.
+    solved again in floats through `_type_rates` from its own row sums, and
+    an `InvariantError` is raised unless their welfare is the table's entry.
     """
     require_valid(params)
     if grid_points < 2:
@@ -338,23 +338,16 @@ def unconstrained_optimum_oracle(params: SystemParams,
 
     f, k = np.unravel_index(int(np.argmax(table)), table.shape)
     i, j = divmod(int(k), grid_points)
-    b_is_high, h_b, h_s, n_b, n_s = split_roles(
-        params.utility_high - q_grid[i:i + 1], params.utility_low - q_grid[j:j + 1],
-        params.n_users_high, params.n_users_low)
-    pi_b, pi_s = _rates_at(h_b, h_s, float(fee_grid[f]), n_b, n_s, params)
-    lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
-    welfare = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
-    if not np.array_equal(welfare, table[f, k:k + 1], equal_nan=True):
+    fee, q_high, q_low = float(fee_grid[f]), float(q_grid[i]), float(q_grid[j])
+    lam_h, lam_l = _type_rates(params.utility_high - q_high, params.utility_low - q_low,
+                               fee, params)
+    welfare = float(welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte))
+    if not np.array_equal(welfare, table[f, k], equal_nan=True):
         raise InvariantError(f"welfare table entry {float(table[f, k])!r} at fee row {f}, "
-                             f"cell {k} is not its rates' welfare {float(welfare[0])!r}")
-    return OracleResult(
-        welfare=float(table[f, k]) + 0.0,       # nobody generating is +0.0, not -0.0
-        fee=float(fee_grid[f]),
-        q_high=float(q_grid[i]),
-        q_low=float(q_grid[j]),
-        rate_high_type=float(lam_h[0]),
-        rate_low_type=float(lam_l[0]),
-    )
+                             f"cell {k} is not its rates' welfare {welfare!r}")
+    # nobody generating is +0.0, not -0.0
+    return OracleResult(welfare=float(table[f, k]) + 0.0, fee=fee, q_high=q_high, q_low=q_low,
+                        rate_high_type=lam_h, rate_low_type=lam_l)
 
 
 # --- waiting-tax comparison ------------------------------------------------------

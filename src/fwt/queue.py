@@ -7,11 +7,15 @@ T_k = mu / ((mu - Lambda_<k) (mu - Lambda_<=k)) (Kleinrock, Queueing
 Systems Vol. 2, 1976); by Little's law all traffic together accumulates
 Lambda / (mu - Lambda) waiting per unit time, whatever the order.
 
-The formulas take floats or numpy arrays. `sojourn` and `own_rate` are
-bare arithmetic: callers mask the entries where they do not apply, such as
-refused or saturated classes. `own_rate_float` is the same root for one
-user type at one fee, in Python floats. Type B is the user type with the
-bigger net utility, type S the other one.
+Array kernels serve the grids, float kernels one point. `sojourn` and
+`own_rate` take floats or arrays and are bare arithmetic: callers mask the
+entries where they do not apply, such as refused or saturated classes.
+`own_rate_float` is the same root in Python floats, bit for bit, with
+numpy's results at a zero divisor, a NaN or a tie (`_div`, `_minimum`,
+`_maximum`). Its caller squares gamma as the array call would: `g * g`
+for an array gamma (the baseline), `gamma ** 2`, C pow, for a float one
+(Stage II); the two differ in the last bit at rare gammas. Type B is the
+user type with the bigger net utility, type S the other one.
 """
 from __future__ import annotations
 
@@ -56,6 +60,23 @@ def welfare_rate(lam_h, lam_l, params, system_cost_per_byte):
     return value - gamma * wait
 
 
+def _div(a, b):
+    """a / b in floats, as numpy divides: +-inf or NaN where b is zero."""
+    if b != 0.0:
+        return a / b
+    return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a * math.copysign(1, b))
+
+
+def _minimum(a, b):
+    """np.minimum of two floats: NaN if either is NaN, b of two equal."""
+    return a if a < b or a != a else b
+
+
+def _maximum(a, b):
+    """np.maximum of two floats: NaN if either is NaN, b of two equal."""
+    return a if a > b or a != a else b
+
+
 def _checked_sqrt(arg, selected):
     """sqrt with tiny-negative clamping; beyond-tolerance negatives on a
     selected branch indicate a branch-selection bug and raise."""
@@ -63,6 +84,13 @@ def _checked_sqrt(arg, selected):
     if (selected & (arg < -_SQRT_TOL)).any():
         raise InvariantError("negative square-root argument on an active branch")
     return np.sqrt(np.maximum(arg, 0.0))
+
+
+def _checked_sqrt_float(arg):
+    """`_checked_sqrt` of one selected float."""
+    if arg < -_SQRT_TOL:
+        raise InvariantError("negative square-root argument on an active branch")
+    return math.sqrt(_maximum(arg, 0.0))
 
 
 def own_rate(n, margin, gamma, free, selected):
@@ -77,18 +105,11 @@ def own_rate(n, margin, gamma, free, selected):
     return free / n - (gamma * (n - 1.0) + root) / (2.0 * margin * n**2)
 
 
-def own_rate_float(n, margin, gamma, free):
-    """`own_rate` at one selected point, for Python floats and an int n.
-
-    Bit-identical to an ndarray `own_rate` entry: gamma is squared by
-    multiplication, as numpy squares arrays, where a float `gamma**2`
-    calls C pow, which can differ in the last bit.
-    """
-    arg = gamma * gamma * (n - 1.0) ** 2 + 4.0 * n * margin * gamma * free
-    if arg < -_SQRT_TOL:
-        raise InvariantError("negative square-root argument on an active branch")
-    root = math.sqrt(max(arg, 0.0))
-    return free / n - (gamma * (n - 1.0) + root) / (2.0 * margin * n**2)
+def own_rate_float(n, margin, gamma, gamma_sq, free):
+    """`own_rate` at one selected point, for Python floats and an int n,
+    bit for bit where its gamma squares to `gamma_sq`."""
+    root = _checked_sqrt_float(gamma_sq * (n - 1.0) ** 2 + 4.0 * n * margin * gamma * free)
+    return free / n - _div(gamma * (n - 1.0) + root, 2.0 * margin * n**2)
 
 
 def by_role(b_is_high, x_high, x_low):

@@ -3,9 +3,15 @@
 Per-user waiting over the fee-priority queue of `fwt.queue`, the
 symmetric-equilibrium generation rates, the high-fee/low-fee equilibrium
 selection with its waits and payoffs, and a grid best-response oracle that
-certifies the closed forms. The rate kernels, one per branch in which a
-type generates, accept numpy arrays, so the mechanism's grid oracle
-evaluates each branch over thousands of points per call.
+certifies the closed forms.
+
+Array kernels serve the grids, float kernels one point. The array rate
+kernels, one per branch in which a type generates, and the array wait
+evaluate the oracles' grids; `sne_select` solves one point in Python
+floats, bit for bit as the array kernels: its roots square the float gamma
+with `**` (C pow) as they do, since `gamma * gamma` differs in the last
+bit at rare gammas, and it divides, takes minima and maxima (`fwt.queue`)
+and compares in their forms, so that a NaN takes the same branch.
 """
 from __future__ import annotations
 
@@ -22,7 +28,8 @@ from .model import (
     SystemParams,
     TaxVector,
 )
-from .queue import _checked_sqrt, by_role, own_rate, sojourn, split_roles
+from .queue import (_checked_sqrt, _checked_sqrt_float, _div, _maximum, _minimum, own_rate,
+                    own_rate_float, sojourn)
 
 __all__ = [
     "SneOutcome",
@@ -57,18 +64,20 @@ def _accumulated_wait_rate(l1, l2, agg1, agg2, high_ok: bool, low_ok: bool, mu: 
 
 def waiting_rate(user_type: str, profile: StrategyProfile, menu: FeeMenu,
                  params: SystemParams) -> float:
-    """Time-average waiting accumulated per unit time by one user.
+    """Time-average waiting accumulated per unit time by one user:
+    `_accumulated_wait_rate` in Python floats.
 
     Returns math.inf when the user generates transactions that are never
     included or when the relevant class is saturated.
     """
     own = profile.rates_for(user_type)
     agg1, agg2 = profile.aggregate(params)
-    c_s = params.storage_cost_per_byte
-    return float(_accumulated_wait_rate(
-        own.rate_high, own.rate_low, agg1, agg2,
-        menu.rho_high >= c_s, menu.rho_low >= c_s, params.block_rate,
-    ))
+    c_s, mu, tot = params.storage_cost_per_byte, params.block_rate, agg1 + agg2
+    t1 = (own.rate_high * _div(mu, mu * (mu - agg1)) if menu.rho_high >= c_s and agg1 < mu
+          else math.inf)
+    t2 = (own.rate_low * _div(mu, (mu - agg1) * (mu - tot))
+          if menu.rho_low >= c_s and agg1 < mu and tot < mu else math.inf)
+    return (t1 if own.rate_high > 0 else 0.0) + (t2 if own.rate_low > 0 else 0.0)
 
 
 # --- SNE generation rates ---------------------------------------------------
@@ -117,25 +126,48 @@ def _both_rates(h_b, h_s, rho, n_b, n_s, params: SystemParams, selected):
     return pi_b, pi_s
 
 
-def _pi_rates(h_b, h_s, rho, n_b, n_s, params: SystemParams):
-    """Equilibrium per-user rates (pi_B, pi_S) at a single active fee.
+def _fee_rates(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
+    """Per-user rates (pi_B, pi_S) when everyone uses this fee, in floats:
+    the three branches of `_only_b_rates` and `_both_rates`, with their
+    results and `InvariantError`s. A refused fee, below C_s, gets zeros."""
+    if fee < params.storage_cost_per_byte:
+        return 0.0, 0.0
+    gamma = params.impatience
+    mu = params.block_rate
+    s_rho = params.mean_tx_size * fee
+    if h_b <= s_rho + gamma / mu:
+        return 0.0, 0.0
+    gamma_sq = gamma**2
+    n_tot = n_b + n_s
+    cap = mu / n_tot
+    margin_b = h_b - s_rho
+    only_b = _minimum(own_rate_float(n_b, margin_b, gamma, gamma_sq, mu), cap)
+    if h_s <= s_rho + _div(gamma, mu - n_b * only_b):
+        return _maximum(only_b, 0.0), 0.0
+    if gamma == 0.0:
+        return cap, cap
+    margin_s = h_s - s_rho
+    d = n_b * margin_b + n_s * margin_s
+    root = _checked_sqrt_float(gamma_sq * (n_tot - 1.0) ** 2 + 4.0 * gamma * mu * d)
+    x = _div(gamma * (n_tot - 1.0) + root, 2.0 * d)
+    kb = margin_b * x - gamma
+    ks = margin_s * x - gamma
+    pi_b = _maximum(_minimum(cap, _div((mu - x) * kb, n_b * kb + n_s * ks)), 0.0)
+    pi_s = _maximum(own_rate_float(n_s, margin_s, gamma, gamma_sq, mu - n_b * pi_b), 0.0)
+    return pi_b, pi_s
 
-    Three branches: nobody generates, only type B generates
-    (`_only_b_rates`), both types generate (`_both_rates`). Scalar or array
-    inputs for h_b/h_s/rho/n_b/n_s; array outputs.
-    """
-    h_b = np.asarray(h_b, dtype=float)
-    h_s = np.asarray(h_s, dtype=float)
-    n_b = np.asarray(n_b, dtype=float)
-    n_s = np.asarray(n_s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        active, pi_b, threshold = _only_b_rates(h_b, rho, n_b, n_s, params)
-        both = active & ~(h_s <= threshold)
-        both_b, both_s = _both_rates(h_b, h_s, rho, n_b, n_s, params, both)
-    return np.where(both, both_b, pi_b), np.where(both, both_s, 0.0)
+
+def _type_rates(h_high, h_low, fee: float, params: SystemParams):
+    """Per-user rates (lam_H, lam_L) of the types with net utilities h_high
+    and h_low at this fee: `_fee_rates` with the roles of `split_roles`."""
+    n_h, n_l = params.n_users_high, params.n_users_low
+    if h_high >= h_low:
+        return _fee_rates(h_high, h_low, fee, n_h, n_l, params)
+    pi_b, pi_s = _fee_rates(h_low, h_high, fee, n_l, n_h, params)
+    return pi_s, pi_b
 
 
-def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams):
+def _delta(h_high, h_low, lam_h, lam_l, rho_low: float, params: SystemParams):
     """High-fee attractiveness threshold, computed at the low-fee SNE rates.
 
     Per type this is the per-transaction value of jumping to the (empty)
@@ -145,33 +177,19 @@ def _delta(h_b, h_s, pi_b, pi_s, rho_low: float, n_b, n_s, params: SystemParams)
     value when the user's rate is capped (slack first-order condition) and
     understates it for non-generating users, so each type takes the
     pointwise minimum, which equals the marginal jump value in every
-    branch.
+    branch. Python floats, divided as numpy divides.
     """
     gamma = params.impatience
     mu = params.block_rate
     s_rho = params.mean_tx_size * rho_low
-    lam = n_b * pi_b + n_s * pi_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = mu - lam
-        common = gamma * (2.0 * mu - lam) / (mu * x * x)
-        raw_b = h_b - gamma / mu - pi_b * common
-        raw_s = h_s - gamma / mu - pi_s * common
-        sub_b = s_rho + gamma * (lam - pi_b) / (mu * x)
-        sub_s = s_rho + gamma * (lam - pi_s) / (mu * x)
-    term_b = np.minimum(raw_b, sub_b)
-    term_s = np.minimum(raw_s, sub_s)
-    return np.maximum(term_b, term_s)
-
-
-def _rates_at(h_b, h_s, fee: float, n_b, n_s, params: SystemParams):
-    """Per-user rates (pi_B, pi_S) when everyone uses this fee; array-capable.
-
-    A fee below C_s is never included, so it supports no generation.
-    """
-    if fee < params.storage_cost_per_byte:
-        zeros = np.zeros(h_b.shape)
-        return zeros, zeros
-    return _pi_rates(h_b, h_s, fee, n_b, n_s, params)
+    lam = params.n_users_high * lam_h + params.n_users_low * lam_l
+    x = mu - lam
+    common = _div(gamma * (2.0 * mu - lam), mu * x * x)
+    raw_h = h_high - gamma / mu - lam_h * common
+    raw_l = h_low - gamma / mu - lam_l * common
+    sub_h = s_rho + _div(gamma * (lam - lam_h), mu * x)
+    sub_l = s_rho + _div(gamma * (lam - lam_l), mu * x)
+    return _maximum(_minimum(raw_h, sub_h), _minimum(raw_l, sub_l))
 
 
 # --- equilibrium selection ---------------------------------------------------
@@ -197,24 +215,20 @@ def sne_select(menu: FeeMenu, tax: TaxVector, params: SystemParams) -> SneOutcom
     Everyone sends at one fee, `fee_used`: rho_H exactly when it is
     accepted and either rho_L is refused or, with waiting costly, the
     high-fee attractiveness delta at the rho_L rates exceeds sbar*rho_H. A
-    refused rho_L gets zero rates from `_rates_at`, so any positive rate
+    refused rho_L gets zero rates from `_type_rates`, so any positive rate
     sits at an accepted fee.
     """
     q_h, q_l = tax.row_sums(params)
-    b_is_high, h_b, h_s, n_b, n_s = split_roles(params.utility_high - q_h,
-                                                params.utility_low - q_l,
-                                                params.n_users_high, params.n_users_low)
+    h_high, h_low = params.utility_high - q_h, params.utility_low - q_l
     c_s = params.storage_cost_per_byte
-    pi_b, pi_s = _rates_at(h_b, h_s, menu.rho_low, n_b, n_s, params)
+    lam_h, lam_l = _type_rates(h_high, h_low, menu.rho_low, params)
     high = menu.rho_high >= c_s and (
         menu.rho_low < c_s
         or (params.impatience > 0.0
-            and bool(_delta(h_b, h_s, pi_b, pi_s, menu.rho_low, n_b, n_s, params)
-                     > params.mean_tx_size * menu.rho_high)))
+            and _delta(h_high, h_low, lam_h, lam_l, menu.rho_low, params)
+            > params.mean_tx_size * menu.rho_high))
     if high:
-        pi_b, pi_s = _pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
-    lam_h, lam_l = (float(x) for x in by_role(b_is_high, pi_b, pi_s))
-    if high:
+        lam_h, lam_l = _type_rates(h_high, h_low, menu.rho_high, params)
         kind = SneKind.HIGH_FEE
         rates_h, rates_l = RatePair(lam_h, 0.0), RatePair(lam_l, 0.0)
     else:

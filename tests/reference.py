@@ -16,10 +16,8 @@ from fwt.queue import _checked_sqrt, by_role, own_rate, split_roles, welfare_rat
 
 def stage2_rates_core(h_high, h_low, menu, params):
     """The Stage-II choice as written before `sne_select` solved one fee at
-    a time: per-type rates and the use-rho_H flag, array-capable.
-
-    `_pi_rates` and `_delta` are looked up on `fwt.user_game` at call time,
-    so a test that patches them there patches this reference too.
+    a time: per-type rates and the use-rho_H flag, array-capable, on
+    `pi_rates_all_branches` and `delta`.
     """
     c_s = params.storage_cost_per_byte
     b_is_high, h_b, h_s, n_b, n_s = split_roles(h_high, h_low, params.n_users_high,
@@ -31,18 +29,17 @@ def stage2_rates_core(h_high, h_low, menu, params):
         pi_s = np.zeros(shape)
         use_high = np.zeros(shape, dtype=bool)
     elif menu.rho_low < c_s:
-        pi_b, pi_s = user_game._pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+        pi_b, pi_s = pi_rates_all_branches(h_b, h_s, menu.rho_high, n_b, n_s, params)
         use_high = np.ones(shape, dtype=bool)
     else:
-        pib_lo, pis_lo = user_game._pi_rates(h_b, h_s, menu.rho_low, n_b, n_s, params)
+        pib_lo, pis_lo = pi_rates_all_branches(h_b, h_s, menu.rho_low, n_b, n_s, params)
         if params.impatience == 0.0:
             use_high = np.zeros(shape, dtype=bool)
         else:
-            delta = user_game._delta(h_b, h_s, pib_lo, pis_lo, menu.rho_low, n_b, n_s,
-                                     params)
+            delta = delta_array(h_b, h_s, pib_lo, pis_lo, menu.rho_low, n_b, n_s, params)
             use_high = delta > params.mean_tx_size * menu.rho_high
         if np.any(use_high):
-            pib_hi, pis_hi = user_game._pi_rates(h_b, h_s, menu.rho_high, n_b, n_s, params)
+            pib_hi, pis_hi = pi_rates_all_branches(h_b, h_s, menu.rho_high, n_b, n_s, params)
             pi_b = np.where(use_high, pib_hi, pib_lo)
             pi_s = np.where(use_high, pis_hi, pis_lo)
         else:
@@ -50,6 +47,25 @@ def stage2_rates_core(h_high, h_low, menu, params):
 
     lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
     return lam_h, lam_l, use_high
+
+
+def delta_array(h_b, h_s, pi_b, pi_s, rho_low, n_b, n_s, params):
+    """`user_game._delta` as it stood before it ran on Python floats: the
+    high-fee attractiveness threshold at the low-fee rates, array-capable."""
+    gamma = params.impatience
+    mu = params.block_rate
+    s_rho = params.mean_tx_size * rho_low
+    lam = n_b * pi_b + n_s * pi_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = mu - lam
+        common = gamma * (2.0 * mu - lam) / (mu * x * x)
+        raw_b = h_b - gamma / mu - pi_b * common
+        raw_s = h_s - gamma / mu - pi_s * common
+        sub_b = s_rho + gamma * (lam - pi_b) / (mu * x)
+        sub_s = s_rho + gamma * (lam - pi_s) / (mu * x)
+    term_b = np.minimum(raw_b, sub_b)
+    term_s = np.minimum(raw_s, sub_s)
+    return np.maximum(term_b, term_s)
 
 
 def pi_rates_all_branches(h_b, h_s, rho, n_b, n_s, params):
@@ -145,8 +161,8 @@ def pair_loop_oracle(params, grid_points):
 
 def fee_loop_welfare_table(params, grid_points):
     """The welfare grid oracle's table W[f, cell] as one Stage-II solve per
-    fee: every row-sum cell through `_rates_at`, all three branches in every
-    cell. `_rates_at` is looked up on `fwt.user_game` at call time."""
+    fee: every row-sum cell through `pi_rates_all_branches`, all three
+    branches in every cell, and zero rates at a refused fee."""
     r_h, r_l = params.utility_high, params.utility_low
     fee_grid = np.linspace(0.0, 1.5 * r_h / params.mean_tx_size, grid_points)
     q_grid = np.linspace(-r_h, r_h, grid_points)
@@ -156,7 +172,10 @@ def fee_loop_welfare_table(params, grid_points):
 
     welfare = np.empty((grid_points, h_b.size))
     for f, fee in enumerate(fee_grid.tolist()):
-        pi_b, pi_s = user_game._rates_at(h_b, h_s, fee, n_b, n_s, params)
+        if fee < params.storage_cost_per_byte:
+            pi_b = pi_s = np.zeros(h_b.shape)
+        else:
+            pi_b, pi_s = pi_rates_all_branches(h_b, h_s, fee, n_b, n_s, params)
         lam_h, lam_l = by_role(b_is_high, pi_b, pi_s)
         welfare[f] = welfare_rate(lam_h, lam_l, params, params.system_storage_per_byte)
     return welfare

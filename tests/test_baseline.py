@@ -272,7 +272,9 @@ def test_best_response_matches_grid_reference_at_zero_rate_edge(seed):
 
 def test_own_rate_float_matches_array_entries():
     """The float root is bit-identical to the ndarray `own_rate` entry by
-    entry, over random rates, margins, gamma' and capacities."""
+    entry, over random rates, margins, gamma' and capacities, given gamma'
+    squared as `own_rate` squares it: by multiplication for an array gamma',
+    by `**` for a float one."""
     rng = np.random.default_rng(0)
     size = 20_000
     n = rng.integers(1, 300_001, size)
@@ -282,12 +284,16 @@ def test_own_rate_float_matches_array_entries():
     free = rng.uniform(1e-6, 15.0, size)
     for k in range(size):
         entry = own_rate(int(n[k]), margin[k:k + 1], gamma[k:k + 1], free[k:k + 1], True)
-        got = own_rate_float(int(n[k]), float(margin[k]), float(gamma[k]), float(free[k]))
+        g = float(gamma[k])
+        got = own_rate_float(int(n[k]), float(margin[k]), g, g * g, float(free[k]))
+        assert got == float(entry[0]), k
+        entry = own_rate(int(n[k]), margin[k:k + 1], g, free[k:k + 1], True)
+        got = own_rate_float(int(n[k]), float(margin[k]), g, g**2, float(free[k]))
         assert got == float(entry[0]), k
 
 
 @pytest.mark.parametrize("root", [
-    lambda: own_rate_float(2, 1.0, 1.0, -10.0),
+    lambda: own_rate_float(2, 1.0, 1.0, 1.0, -10.0),
     lambda: own_rate(2, np.array([1.0]), 1.0, np.array([-10.0]), np.array([True])),
 ], ids=["float", "array"])
 def test_rate_root_guard_raises_invariant_error(root):

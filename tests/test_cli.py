@@ -234,6 +234,27 @@ def test_out_path_in_missing_directory_is_invalid_input(tmp_path, capsys):
         assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--events", "{missing}"],
+    ["simulate", "--out", "{missing}"],
+    ["sweep", "--axis", "gamma", "--out", "{missing}"],
+    ["check", "corollary2", "--out", "{missing}"],
+], ids=["simulate-events", "simulate-out", "sweep", "check"])
+def test_out_path_in_missing_directory_is_refused_before_the_work(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    """The path is checked before anything is solved or simulated, with the
+    message that writing it would give."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran the work before checking the output path")
+
+    for name in ("run_sim", "optimal_mechanism", "sweep_rows", "run_suite"):
+        monkeypatch.setattr(fwt.cli, name, never)
+    missing = str(tmp_path / "no" / "x.csv")
+    code, out, err = run_cli([a.replace("{missing}", missing) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 def test_solve_param_override_and_validation(capsys):
     code, out, _ = run_cli(["solve", "--param", "impatience=1e-4"], capsys)
     assert code == 0

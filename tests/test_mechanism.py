@@ -28,10 +28,12 @@ from fwt.model import (
     TaxVector,
     validate_params,
 )
-from fwt.queue import InvariantError
-from fwt.user_game import best_response_check, sne_select, user_payoff
+from fwt.queue import InvariantError, split_roles, welfare_rate
+from fwt.user_game import (_only_b_rates, _type_rates, best_response_check, sne_select,
+                           user_payoff)
 
 import reference
+from conftest import exactness, same_bits
 
 
 # frozen expectations at the evaluation defaults (gamma=5e-5, R_H=1.8e-3):
@@ -537,6 +539,56 @@ def test_welfare_table_matches_fee_loop_on_valid_params(counts, n_miners, mu, ga
     _assert_table_matches_fee_loop(p, grid_points)
 
 
+_BRANCHES = ("refused fee", "nobody", "only B", "both")
+
+
+def _table_branches(p, fee_grid, q_grid):
+    """Each welfare-table cell's Stage-II branch as an index into
+    `_BRANCHES`, from the array kernel `_only_b_rates`."""
+    qh, ql = np.meshgrid(q_grid, q_grid, indexing="ij")
+    _, h_b, h_s, n_b, n_s = split_roles((p.utility_high - qh).ravel(),
+                                        (p.utility_low - ql).ravel(),
+                                        float(p.n_users_high), float(p.n_users_low))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        active, _, threshold = _only_b_rates(h_b, fee_grid[:, None], n_b, n_s, p)
+    branch = np.where(active, np.where(h_s <= threshold, 2, 3), 1)
+    return np.where((fee_grid < p.storage_cost_per_byte)[:, None], 0, branch)
+
+
+@exactness(100)
+@given(
+    p=st.sampled_from(prop2_draws(1, 12, 13))
+    | st.builds(_point_params, **{**_VALID_POINTS, "gamma": _VALID_POINTS["gamma"] | st.floats(
+        math.log10(5e-324), -2.0).map(lambda e: 10.0**e)}),
+    grid_points=st.integers(2, 13) | st.just(50),
+    data=st.data(),
+)
+@example(p=_point_params(**_NAN_POINT), grid_points=6, data=None)
+# gamma ** 2 != gamma * gamma
+@example(p=_point_params(**{**_DEFAULT_POINT, "gamma": 6.192956855562239e-05}),
+         grid_points=13, data=None)
+# h_H == h_L on the diagonal, with unequal counts
+@example(p=_point_params(**{**_DEFAULT_POINT, "counts": (1, 100), "r_spread": 1.0}),
+         grid_points=7, data=None)
+def test_float_rates_give_the_welfare_table_entries(p, grid_points, data):
+    """At a cell drawn from each branch of the welfare table, the float
+    kernel's rates have the table entry's welfare, bit for bit (NaN where
+    the entry is NaN). The explicit examples take every cell."""
+    fee_grid, q_grid, table = fwt.mechanism._welfare_table(p, grid_points)
+    branch = _table_branches(p, fee_grid, q_grid)
+    for b, name in enumerate(_BRANCHES):
+        cells = np.flatnonzero(branch == b).tolist()
+        if data is not None and cells:
+            cells = [data.draw(st.sampled_from(cells), label=name)]
+        for cell in cells:
+            f, k = divmod(cell, grid_points**2)
+            i, j = divmod(k, grid_points)
+            lam = _type_rates(p.utility_high - float(q_grid[i]),
+                              p.utility_low - float(q_grid[j]), float(fee_grid[f]), p)
+            got = float(welfare_rate(*lam, p, p.system_storage_per_byte))
+            assert same_bits(got, float(table[f, k])), (name, f, k)
+
+
 def test_welfare_table_keeps_the_fee_loops_nan_cells():
     p = _point_params(**_NAN_POINT)
     _, _, table = fwt.mechanism._welfare_table(p, 6)
@@ -581,13 +633,30 @@ def _poison_both_rates(monkeypatch, modules, is_poisoned):
         monkeypatch.setattr(module, "_both_rates", poisoned)
 
 
+def _poison_oracle_type_rates(monkeypatch, is_poisoned):
+    """Make the float kernel `_type_rates`, as the oracle sees it, return a
+    NaN rate for H at every fee where `is_poisoned(fee, params)` holds."""
+    real = fwt.user_game._type_rates
+
+    def poisoned(h_high, h_low, fee, params):
+        lam_h, lam_l = real(h_high, h_low, fee, params)
+        return (math.nan if is_poisoned(fee, params) else lam_h), lam_l
+
+    monkeypatch.setattr(fwt.mechanism, "_type_rates", poisoned)
+
+
 def test_oracle_nan_cell_fails_prop2(monkeypatch):
     """A NaN welfare cell is not skipped: it becomes the oracle's welfare,
     and the Proposition-2 check reports every draw BAD. The poisoned fees
     lie above R_H/sbar, which no optimal menu charges, so the theorem's
     welfare stays finite and the oracle alone fails the draws."""
-    _poison_both_rates(monkeypatch, [fwt.mechanism, fwt.user_game],
-                       lambda rho, p: rho > p.utility_high / p.mean_tx_size)
+    def above_r_h(rho, p):
+        return rho > p.utility_high / p.mean_tx_size
+
+    _poison_both_rates(monkeypatch, [fwt.mechanism, fwt.user_game], above_r_h)
+    # the oracle solves its winning cell, a NaN both-types cell, again on the
+    # float kernel, which must then agree with the table
+    _poison_oracle_type_rates(monkeypatch, above_r_h)
     assert math.isnan(unconstrained_optimum_oracle(SystemParams(), 12).welfare)
     result = check_prop2(grid_points=12, seed=17)
     assert not result.passed
@@ -597,8 +666,9 @@ def test_oracle_nan_cell_fails_prop2(monkeypatch):
 
 def test_oracle_raises_when_its_table_is_not_its_winners_welfare(monkeypatch, capsys):
     """A fault in how the table is assembled cannot exit 0 quietly: the
-    winning cell's rates, solved again through `_rates_at`, must give the
-    table's entry, or the oracle raises and `fwt check prop2` exits 3."""
+    winning cell's rates, solved again by the float kernel `_type_rates`,
+    must give the table's entry, or the oracle raises and `fwt check prop2`
+    exits 3."""
     _poison_both_rates(monkeypatch, [fwt.mechanism], lambda rho, p: True)
     with pytest.raises(InvariantError, match="welfare table entry nan"):
         unconstrained_optimum_oracle(SystemParams(), 12)

@@ -10,8 +10,9 @@ from fwt.checks import CheckResult, lemma1_profiles, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.cli import main as fwt_main
 from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
-from fwt.model import SystemParams, TaxVector
+from fwt.model import FeeMenu, SystemParams, TaxVector
 from fwt.sim import SimConfig, run
+from fwt.user_game import sne_select
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -97,12 +98,13 @@ def test_validate_against_simulator_rejects_negative_seed(capsys):
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
     """With its command list cut to one solve, one check suite, one oracle
-    point, one Lemma-1 profile, the taxed optimal mechanism at the defaults
-    and two failing argv, the script writes the solve JSON as `fwt solve`
-    prints it, the suite's pass flag and detail lines, the repr of every
-    field of the oracle's result, the repr of every simulator report field
-    but the event log, and each failing argv's exit code and last stderr
-    line as `fwt.cli.main` gives them."""
+    point, two Stage-II cases, one Lemma-1 profile, the taxed optimal
+    mechanism at the defaults and two failing argv, the script writes the
+    solve JSON as `fwt solve` prints it, the suite's pass flag and detail
+    lines, the repr of every field of the oracle's result, the repr of every
+    field of the selected equilibrium or what its selection raised, the repr
+    of every simulator report field but the event log, and each failing
+    argv's exit code and last stderr line as `fwt.cli.main` gives them."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     script = _load_script("snapshot_outputs")
     monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
@@ -110,6 +112,20 @@ def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypa
     failing = [["solve", "--param", "bogus=1"], ["solve", "--param", "impatience=1e-36"]]
     monkeypatch.setattr(script, "FAILING", failing)
     monkeypatch.setattr(script, "ORACLE_POINTS", [("defaults", SystemParams())])
+    labels = [case[0] for case in script.STAGE2_CASES]
+    assert len(set(labels)) == len(labels)
+    outcomes = []
+    for _, menu, tax, params in script.STAGE2_CASES:
+        try:
+            outcomes.append(sne_select(menu, tax, params).sne_kind.value)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert {"HighFeeSNE", "LowFeeSNE", "NoGeneration"} < set(outcomes)
+    assert any(o.startswith("rates must be nonnegative and finite") for o in outcomes)
+    low_fee = FeeMenu(rho_high=1.0, rho_low=SystemParams().system_storage_per_byte)
+    nan_case = next(case for case in script.STAGE2_CASES if case[0] == "NaN rates")
+    monkeypatch.setattr(script, "STAGE2_CASES",
+                        [("low fee", low_fee, TaxVector.zero(), SystemParams()), nan_case])
     label, params, menu, profile = lemma1_profiles()[0]
     mech = optimal_mechanism(SystemParams())
     taxed = "optimal mechanism, taxed, defaults"
@@ -121,7 +137,15 @@ def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypa
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "check_corollary2.txt", "exit_codes.txt", "oracle.txt", "sim.txt", "solve.json"]
+        "check_corollary2.txt", "exit_codes.txt", "oracle.txt", "sim.txt", "solve.json",
+        "stage2.txt"]
+    o = sne_select(low_fee, TaxVector.zero(), SystemParams())
+    assert (tmp_path / "stage2.txt").read_text().splitlines() == [
+        f"low fee: profile={o.profile!r} sne_kind={o.sne_kind!r} fee_used={o.fee_used!r} "
+        f"waiting_rate_high={o.waiting_rate_high!r} waiting_rate_low={o.waiting_rate_low!r} "
+        f"payoff_high={o.payoff_high!r} payoff_low={o.payoff_low!r}",
+        "NaN rates: raised ValueError: rates must be nonnegative and finite, got "
+        "RatePair(rate_high=0.0, rate_low=nan)"]
     report = run(SimConfig(params=params, menu=menu, tax=TaxVector.zero(), profile=profile,
                            horizon=200.0, seed=1, replications=3))
     taxed_report = run(SimConfig(params=SystemParams(), menu=mech.menu, tax=mech.tax,

@@ -14,7 +14,10 @@ from fwt.model import FeeMenu, RatePair, SneKind, StrategyProfile, SystemParams,
 from fwt.queue import InvariantError, split_roles
 from fwt.user_game import (
     _accumulated_wait_rate,
-    _pi_rates,
+    _both_rates,
+    _delta,
+    _fee_rates,
+    _only_b_rates,
     best_response_check,
     sne_select,
     user_payoff,
@@ -22,6 +25,7 @@ from fwt.user_game import (
 )
 
 import reference
+from conftest import exactness, same_bits
 
 TWO_USERS = replace(SystemParams(), n_users_high=1, n_users_low=1)
 C_S = TWO_USERS.storage_cost_per_byte
@@ -122,6 +126,31 @@ def test_wait_core_matches_reference(mu, own, crowd, menu):
                       _reference_wait_rate(l1, l2, agg1, agg2, *menu, mu))
 
 
+@exactness(300)
+@given(
+    mu=st.floats(0.5, 50.0),
+    own=st.tuples(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-12, 1.0),
+                  st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-12, 1.0)),
+    crowd=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)),
+    menu=st.sampled_from(_MENUS),
+)
+@example(mu=4.0, own=(0.25, 0.25), crowd=(0.75, 0.0), menu=(True, True))
+@example(mu=4.0, own=(0.25, 0.25), crowd=(0.25, 0.25), menu=(True, True))
+# zero own rates wait 0 even in a refused or saturated class
+@example(mu=4.0, own=(0.0, 0.0), crowd=(1.2, 1.2), menu=(False, False))
+@example(mu=4.0, own=(0.0, 0.25), crowd=(0.75, 0.0), menu=(True, True))
+def test_float_wait_matches_array_wait(mu, own, crowd, menu):
+    """`waiting_rate`, in floats, is the array wait of `best_response_check`
+    bit for bit, over the domain above: the user is the one H user and the
+    crowd the one L user."""
+    prof = profile(own[0] * mu, own[1] * mu, crowd[0] * mu, crowd[1] * mu)
+    params = replace(TWO_USERS, block_rate=mu)
+    agg1, agg2 = prof.aggregate(params)
+    want = _accumulated_wait_rate(own[0] * mu, own[1] * mu, agg1, agg2, *menu, mu)
+    fee_menu = {(True, True): BOTH_OK, (True, False): HIGH_ONLY, (False, False): NONE_OK}[menu]
+    assert same_bits(waiting_rate("H", prof, fee_menu, params), float(want))
+
+
 @pytest.mark.parametrize("menu", _MENUS)
 def test_wait_core_matches_reference_on_deviation_grid(menu):
     """The array path, as best_response_check calls it: one user's rates
@@ -149,7 +178,17 @@ def _sne_rates(params, tax, rho):
     """Per-user SNE rates (pi_B, pi_S) when everyone generates at fee rho."""
     _, h_b, h_s, n_b, n_s = split_roles(*_net_utilities(params, tax),
                                         params.n_users_high, params.n_users_low)
-    return _pi_rates(h_b, h_s, rho, n_b, n_s, params)
+    return _fee_rates(float(h_b), float(h_s), rho, int(n_b), int(n_s), params)
+
+
+def _array_rates(h_b, h_s, rho, n_b, n_s, params):
+    """Per-user rates (pi_B, pi_S) from the array kernels, composed as the
+    mechanism's welfare table composes them."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        active, pi_b, threshold = _only_b_rates(h_b, rho, n_b, n_s, params)
+        both = active & ~(h_s <= threshold)
+        both_b, both_s = _both_rates(h_b, h_s, rho, n_b, n_s, params, both)
+    return np.where(both, both_b, pi_b), np.where(both, both_s, 0.0)
 
 
 def test_net_utilities_zero_tax(table_params):
@@ -251,10 +290,10 @@ def test_branch_continuity_at_single_type_boundary(table_params):
     gamma, mu, sbar = (table_params.impatience, table_params.block_rate,
                        table_params.mean_tx_size)
     h_b = table_params.utility_high
-    only_b, _ = _pi_rates(h_b, 0.0, rho, 100, 100, table_params)
+    only_b, _ = _fee_rates(h_b, 0.0, rho, 100, 100, table_params)
     boundary = sbar * rho + gamma / (mu - 100 * only_b)
-    lo_b, lo_s = _pi_rates(h_b, boundary * (1 - 1e-9), rho, 100, 100, table_params)
-    hi_b, hi_s = _pi_rates(h_b, boundary * (1 + 1e-9), rho, 100, 100, table_params)
+    lo_b, lo_s = _fee_rates(h_b, boundary * (1 - 1e-9), rho, 100, 100, table_params)
+    hi_b, hi_s = _fee_rates(h_b, boundary * (1 + 1e-9), rho, 100, 100, table_params)
     assert lo_s == 0.0
     assert hi_s == pytest.approx(0.0, abs=1e-6)
     assert hi_b == pytest.approx(lo_b, rel=1e-8)
@@ -272,7 +311,7 @@ def test_rate_feasibility_with_varying_impatience():
         h_b = h_s * float(rng.uniform(1.0, 4.0))
         rho = float(rng.uniform(0.0, 2e-5))
         params = SystemParams(impatience=float(10 ** rng.uniform(-6, -2)))
-        pi_b, pi_s = _pi_rates(h_b, h_s, rho, n_b, n_s, params)
+        pi_b, pi_s = _fee_rates(h_b, h_s, rho, n_b, n_s, params)
         cap = mu / (n_b + n_s)
         if not (0.0 <= pi_s <= pi_b + 1e-15 <= cap + 1e-12):
             bad += 1
@@ -280,7 +319,8 @@ def test_rate_feasibility_with_varying_impatience():
 
 
 def test_rate_feasibility_vectorized_bulk():
-    """Same invariant checked fully vectorized at fixed impatience."""
+    """Same invariant checked fully vectorized at fixed impatience, on the
+    array kernels."""
     rng = np.random.default_rng(7)
     n = 10_000
     mu = 15.0
@@ -290,15 +330,18 @@ def test_rate_feasibility_vectorized_bulk():
     h_b = h_s * rng.uniform(1.0, 4.0, n)
     rho = rng.uniform(0.0, 2e-5, n)
     params = SystemParams(impatience=5e-5)
-    pi_b, pi_s = _pi_rates(h_b, h_s, rho, n_b, n_s, params)
+    pi_b, pi_s = _array_rates(h_b, h_s, rho, n_b, n_s, params)
     cap = mu / (n_b + n_s)
     assert np.all(pi_s >= 0.0)
     assert np.all(pi_b >= pi_s - 1e-15)
     assert np.all(pi_b <= cap * (1 + 1e-12))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+# both types at the gamma/mu bar, a both-types 0/0 (ROADMAP item 11)
+_NAN_GAMMA = 0.0021120643256403206
+
+# one fee's Stage II: B's and S's net utilities as (h_B, h_S) = (max, min)
+_ONE_FEE = dict(
     gamma=st.sampled_from([0.0]) | st.floats(math.log10(5e-324), -2.0).map(lambda e: 10.0**e),
     mu=st.floats(0.1, 100.0),
     counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
@@ -306,24 +349,64 @@ def test_rate_feasibility_vectorized_bulk():
     h=st.lists(st.tuples(st.floats(-1e-3, 1e-2), st.floats(-1e-3, 1e-2)), min_size=1,
                max_size=40),
 )
+
+
+@exactness(200)
+@given(**_ONE_FEE, sbar=st.just(150.0))
+@example(gamma=5e-5, mu=15.0, counts=(100, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (1e-3, 1e-3)],
+         sbar=150.0)
+@example(gamma=0.0, mu=15.0, counts=(1, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (7.5e-4, 0.0)],
+         sbar=150.0)
+# the welfare table's NaN cell at R_H = R_L = gamma, sbar = 8.5, C_s = 0
+@example(gamma=_NAN_GAMMA, mu=1.0, counts=(1, 1), rho=0.00014908689357461086,
+         h=[(0.003379302921024513, 0.003379302921024513)], sbar=8.5)
+# the optimal mechanism's net utilities where gamma ** 2 != gamma * gamma:
+# squaring by multiplication gives L 0.050114347797251914, not ...203
+@example(gamma=6.192956855562239e-05, mu=15.0, counts=(100, 100), rho=5e-6,
+         h=[(0.0007756356522027497, 0.0007753867956807222)], sbar=150.0)
+def test_pi_rates_match_all_branch_reference(gamma, mu, counts, rho, h, sbar):
+    """The one-point rate kernel gives the three-branch original's rates,
+    entry by entry: the same bits, NaN where it is NaN, and an
+    `InvariantError` where it raises one. C_s = 0 accepts every fee."""
+    params = replace(SystemParams(), impatience=gamma, block_rate=mu, mean_tx_size=sbar,
+                     storage_cost_per_byte=0.0)
+    for pair in h:
+        h_b, h_s = max(pair), min(pair)
+        try:
+            want = reference.pi_rates_all_branches(np.array([h_b]), np.array([h_s]), rho,
+                                                   *counts, params)
+        except InvariantError:
+            with pytest.raises(InvariantError):
+                _fee_rates(h_b, h_s, rho, *counts, params)
+            continue
+        got = _fee_rates(h_b, h_s, rho, *counts, params)
+        assert same_bits(got[0], want[0][0]) and same_bits(got[1], want[1][0]), (pair, got)
+
+
+@exactness(200)
+@given(**_ONE_FEE)
 @example(gamma=5e-5, mu=15.0, counts=(100, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (1e-3, 1e-3)])
-@example(gamma=0.0, mu=15.0, counts=(1, 100), rho=5e-6, h=[(1.8e-3, 9e-4), (7.5e-4, 0.0)])
-def test_pi_rates_match_all_branch_reference(gamma, mu, counts, rho, h):
-    """The two branch kernels composed give the three-branch original's
-    rates bit for bit, NaN where it is NaN, and raise where it raises."""
-    params = replace(SystemParams(), impatience=gamma, block_rate=mu)
-    h_b = np.array([max(pair) for pair in h])
-    h_s = np.array([min(pair) for pair in h])
-    args = (h_b, h_s, rho, *counts, params)
-    try:
-        want = reference.pi_rates_all_branches(*args)
-    except InvariantError:
-        with pytest.raises(InvariantError):
-            _pi_rates(*args)
-        return
-    got = _pi_rates(*args)
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert np.array_equal(got[1], want[1], equal_nan=True)
+# mu * (x * x) in place of mu * x * x moves delta by an ulp here
+@example(gamma=5.114992906354966e-06, mu=15.0, counts=(100, 100), rho=5e-6,
+         h=[(0.0015844608707784413, 0.001469868115167086)])
+# h - (gamma/mu + lam*common) in place of h - gamma/mu - lam*common, for H, then for L
+@example(gamma=0.004813373159949316, mu=2.0, counts=(160, 131), rho=0.0,
+         h=[(0.004023383685973922, -0.000644500343495957)])
+@example(gamma=0.01, mu=2.0, counts=(2, 4), rho=0.0, h=[(0.0078125, 0.0078125)])
+def test_delta_matches_array_delta(gamma, mu, counts, rho, h):
+    """The float high-fee threshold `_delta`, in type order with B = H, is
+    the array original's at the original's rates: equal, or both NaN."""
+    params = replace(SystemParams(), impatience=gamma, block_rate=mu, n_users_high=counts[0],
+                     n_users_low=counts[1])
+    for pair in h:
+        h_b, h_s = np.array([max(pair)]), np.array([min(pair)])
+        try:
+            pi_b, pi_s = reference.pi_rates_all_branches(h_b, h_s, rho, *counts, params)
+        except InvariantError:
+            continue
+        want = float(reference.delta_array(h_b, h_s, pi_b, pi_s, rho, *counts, params)[0])
+        got = _delta(float(h_b[0]), float(h_s[0]), float(pi_b[0]), float(pi_s[0]), rho, params)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (pair, got, want)
 
 
 # --- SNE selection ---------------------------------------------------------------
@@ -382,7 +465,7 @@ def test_sne_select_nothing_accepted():
 _FEE_MULTIPLE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
 
 
-@settings(max_examples=400, deadline=None)
+@exactness(400)
 @given(
     fees=st.tuples(_FEE_MULTIPLE, _FEE_MULTIPLE),
     c_s=st.floats(1e-10, 1e-6),
@@ -401,6 +484,9 @@ _FEE_MULTIPLE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
          h=[(1.8e-3, 9e-4), (9e-4, 1.8e-3)])
 @example(fees=(1.0, 1.01), c_s=5e-7, gamma=0.0, mu=15.0, counts=(100, 100),
          h=[(1.8e-3, 9e-4)])
+# the optimal menu's low fee and net utilities where gamma ** 2 != gamma * gamma
+@example(fees=(1.0, 2.3944951494617224), c_s=5e-6, gamma=6.192956855562239e-05, mu=15.0,
+         counts=(100, 100), h=[(0.0007756356522027497, 0.0007753867956807222)])
 def test_stage2_core_matches_reference(fees, c_s, gamma, mu, counts, h):
     """sne_select's per-type rates and fee choice equal the branch-by-branch
     original, bit for bit, one utility pair at a time with both role
@@ -426,6 +512,24 @@ def test_stage2_core_matches_reference(fees, c_s, gamma, mu, counts, h):
             assert got.profile.rates_high_type.total == float(want_h)
             assert got.profile.rates_low_type.total == float(want_l)
             assert got.fee_used == (rho_high if want_high else rho_low)
+
+
+@pytest.mark.parametrize("params", [SystemParams(), SystemParams(utility_low=1.7e-3)],
+                         ids=["defaults", "close utilities"])
+def test_selection_at_the_exact_delta_boundary(params):
+    """The high fee wins only where delta, as the array original computes
+    it, strictly exceeds sbar*rho_H: at the rho_H whose sbar*rho_H is delta
+    to the last bit the low fee stays, and one ulp lower the high fee wins."""
+    rho_low = params.system_storage_per_byte
+    counts = (params.n_users_high, params.n_users_low)
+    h = (np.array([params.utility_high]), np.array([params.utility_low]))
+    pi_b, pi_s = reference.pi_rates_all_branches(*h, rho_low, *counts, params)
+    delta = float(reference.delta_array(*h, pi_b, pi_s, rho_low, *counts, params)[0])
+    rho_high = delta / params.mean_tx_size
+    assert params.mean_tx_size * rho_high == delta
+    at = sne_select(FeeMenu(rho_high, rho_low), TaxVector.zero(), params)
+    below = sne_select(FeeMenu(math.nextafter(rho_high, 0.0), rho_low), TaxVector.zero(), params)
+    assert (at.sne_kind, below.sne_kind) == (SneKind.LOW_FEE, SneKind.HIGH_FEE)
 
 
 # --- payoffs ----------------------------------------------------------------------
