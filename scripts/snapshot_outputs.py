@@ -8,21 +8,26 @@ directories, so a claim of unchanged output is one `diff -r`:
     PYTHONPATH=src python3 scripts/snapshot_outputs.py --out-dir B
     diff -r A B
 
-The commands are `fwt solve` variants, the evaluation sweeps, two seeded
+The commands are `fwt solve` variants, the evaluation sweeps, three seeded
 `fwt simulate` runs with their event logs, and every `fwt check` suite,
-written as its pass flag and detail lines. `oracle.txt` holds the `repr`
-of every field of the welfare grid oracle's result at 50 points for
-`prop2_draws(0)`, `prop2_draws(1, 12, 13)` and the defaults, which the
-checks print only to six digits. `stage2.txt` holds the `repr` of every
-field of `fwt.user_game.sne_select`'s outcome, or the class and message of
-what it raised, over a fixed list of menus, taxes and parameters that
-reach all three kinds of equilibrium, a refused low fee, gamma = 0,
-C_s = 0, both role assignments and the optimal mechanism at a gamma whose
-`gamma ** 2` and `gamma * gamma` differ. `sim.txt` holds the `repr` of every field
-but the event log of `fwt.sim.run` at seed 1, 3 replications and a 200 s
+written as its pass flag and detail lines. Every heterogeneous-cost path
+runs: `solve_hetero.json` (ratio 5 at the defaults, where nobody
+generates), `simulate_hetero.json` (ratio 5 at the `cost_ratio` sweep's
+utilities, where type H generates), the `cost_ratio` sweep, and
+`sweep_cost_ratio_free_storage.csv`, the same sweep at C_s = 0, whose rows
+carry the hetero error. `oracle.txt` holds the `repr` of every field of the
+welfare grid oracle's result at 50 points for `prop2_draws(0)`,
+`prop2_draws(1, 12, 13)` and the defaults, which the checks print only to
+six digits. `stage2.txt` holds the `repr` of every field of
+`fwt.user_game.sne_select`'s outcome, or the class and message of what it
+raised, over a fixed list of menus, taxes and parameters that reach all
+three kinds of equilibrium, a refused low fee, gamma = 0, C_s = 0, both
+role assignments and the optimal mechanism at a gamma whose `gamma ** 2`
+and `gamma * gamma` differ. `sim.txt` holds the `repr` of every field but
+the event log of `fwt.sim.run` at seed 1, 3 replications and a 200 s
 horizon, arrays as lists, on each Lemma-1 profile, untaxed, and on the
 optimal mechanism's menu, tax and equilibrium profile at the defaults and
-at 1000 users per type: unlike the two `fwt simulate` runs, whose users all
+at 1000 users per type: unlike the `fwt simulate` runs, whose users all
 pay the low fee, the Lemma-1 profiles serve both fee classes, and the two
 taxed cases pin the tax totals at full precision. `exit_codes.txt` holds,
 for each argv of a fixed list of failing inputs, the exit code and the last
@@ -75,6 +80,14 @@ COMMANDS += [
     ("simulate_uniform.json", ["simulate", "--seed", "1", "--replications", "3",
                                "--horizon", "2000", "--tax-split", "uniform",
                                "--events", "{events}"]),
+    # at the cost_ratio sweep's utilities type H generates under ratio 5
+    ("simulate_hetero.json", ["simulate", "--seed", "1", "--replications", "3",
+                              "--horizon", "2000", "--hetero", "ratio=5",
+                              "--events", "{events}"] + COST_RATIO_PARAMS),
+    # C_s = 0 leaves no cheaper tier: every row carries the hetero error
+    ("sweep_cost_ratio_free_storage.csv", ["sweep", "--axis", "cost_ratio", "--steps", "3",
+                                           "--param", "storage_cost_per_byte=0"]
+     + COST_RATIO_PARAMS),
 ]
 # argv that fail: faults of the program first, then invalid inputs; paths
 # are relative to the output directory, where none of them exists
@@ -89,6 +102,7 @@ FAILING = [
     ["solve", "--param", "nonsense"],
     ["solve", "--hetero", "ratio=abc"],
     ["solve", "--hetero", "ratio=0.5"],
+    ["solve", "--hetero", "ratio=inf"],
     ["solve", "--config", "missing.cfg"],
     ["solve", "--out", "missing/solve.json"],
     ["sweep", "--axis", "gamma", "--range", "0:nan"],

@@ -8,7 +8,6 @@ tax-ordering claims.
 """
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -358,29 +357,30 @@ def check_corollary2(step: float = 1e-6) -> CheckResult:
     for r_low in r_lows:
         p = replace(params, utility_low=float(r_low))
         cmp = tax_comparison(p)
-        sign_q.append(cmp.q_high - cmp.q_low < 0)
+        sign_q.append(cmp.low_type_pays_more)
         sign_delta.append(r_high - r_low < cmp.delta)
     # the two predicates must agree pointwise and both must flip in-range
     agree = all(a == b for a, b in zip(sign_q, sign_delta))
-    flipped = (True in sign_q) and (False in sign_q)
     flip_q = next((i for i in range(1, len(sign_q)) if sign_q[i] != sign_q[i - 1]), None)
     flip_d = next((i for i in range(1, len(sign_delta))
                    if sign_delta[i] != sign_delta[i - 1]), None)
+    flipped = flip_q is not None
     return CheckResult(agree and flipped and flip_q == flip_d, [
         f"predicates agree at all {len(r_lows)} points: {agree}",
         f"sign flip within swept range: {flipped} "
         f"(q at step {flip_q}, delta at step {flip_d}, step={step:g})"])
 
 
-# each suite's keyword defaults are the options it takes: a suite without a
-# `seed` draws no random numbers, and corollary2 has no sample budget
+# suite -> (check, the keyword `budget` sets, the keyword `seed` sets); None
+# where the suite takes no such option: a suite without a seed draws no
+# random numbers, and corollary2 has no sample budget
 SUITES = {
-    "miner_ne": lambda budget=1000, seed=0: check_miner_ne(budget=budget, seed=seed),
-    "user_ne": lambda budget=5: check_user_ne(points_per_axis=budget),
-    "lemma1": lambda budget=10, seed=0: check_lemma1(replications=budget, seed=seed),
-    "prop2": lambda budget=50, seed=0: check_prop2(grid_points=budget, seed=seed),
-    "fairness": lambda budget=20: check_fairness(points=budget),
-    "corollary2": lambda: check_corollary2(),
+    "miner_ne": (check_miner_ne, "budget", "seed"),
+    "user_ne": (check_user_ne, "points_per_axis", None),
+    "lemma1": (check_lemma1, "replications", "seed"),
+    "prop2": (check_prop2, "grid_points", "seed"),
+    "fairness": (check_fairness, "points", None),
+    "corollary2": (check_corollary2, None, None),
 }
 
 
@@ -389,11 +389,12 @@ def run_suite(name: str, budget: int | None = None, seed: int | None = None) -> 
     `seed` its seed. An option the suite does not take is `InvalidInput`."""
     if name not in SUITES:
         raise InvalidInput(f"unknown check suite {name!r}; choose from {sorted(SUITES)}")
-    options = {key: value for key, value in (("budget", budget), ("seed", seed))
-               if value is not None}
-    ignored = options.keys() - inspect.signature(SUITES[name]).parameters.keys()
+    check, budget_keyword, seed_keyword = SUITES[name]
+    options = [("budget", budget_keyword, budget), ("seed", seed_keyword, seed)]
+    ignored = [option for option, keyword, value in options
+               if value is not None and keyword is None]
     if ignored:
-        raise InvalidInput(f"check suite {name!r} takes no {' or '.join(sorted(ignored))}")
+        raise InvalidInput(f"check suite {name!r} takes no {' or '.join(ignored)}")
     if budget is not None and budget < 1:
         raise InvalidInput(f"budget must be at least 1, got {budget}")
-    return SUITES[name](**options)
+    return check(**{keyword: value for _, keyword, value in options if value is not None})

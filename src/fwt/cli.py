@@ -30,14 +30,7 @@ from .mechanism import (
     social_welfare,
     sufficient_fee_check,
 )
-from .model import (
-    HeteroCostParams,
-    InvalidInput,
-    SystemParams,
-    params_from_mapping,
-    parse_config,
-    require_valid,
-)
+from .model import InvalidInput, SystemParams, params_from_mapping, parse_config, require_valid
 from .sim import SimConfig, run as run_sim
 
 __all__ = ["main", "jain_index"]
@@ -72,17 +65,16 @@ class _Seed(argparse.Action):
         setattr(namespace, self.dest, int(text))
 
 
-def _parse_hetero(spec: str, params: SystemParams) -> HeteroCostParams:
-    """Parse `ratio=X`: the high tier costs X times `storage_cost_per_byte`."""
+def _parse_hetero(spec: str) -> float:
+    """Parse `ratio=X`, a finite X: the high tier costs X times `storage_cost_per_byte`."""
     key, _, value = spec.partition("=")
     try:
         ratio = float(value) if key.strip() == "ratio" else math.nan
     except ValueError:
         ratio = math.nan
-    if math.isnan(ratio):
+    if not math.isfinite(ratio):
         raise InvalidInput(f"--hetero takes ratio=<x>, got {spec!r}")
-    cost_low = params.storage_cost_per_byte
-    return HeteroCostParams(cost_low=cost_low, cost_high=ratio * cost_low)
+    return ratio
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -107,11 +99,10 @@ def _emit(payload: str, out: str | None):
         sys.stdout.flush()      # a closed stdout raises here, not at exit
 
 
-def _solve_point(params: SystemParams, tax_split: str,
-                 hetero: HeteroCostParams | None):
+def _solve_point(params: SystemParams, tax_split: str, cost_ratio: float | None):
     """The mechanism and the params it was solved against (hetero: mean cost)."""
-    if hetero is not None:
-        return optimal_mechanism_hetero(params, hetero, tax_split=tax_split)
+    if cost_ratio is not None:
+        return optimal_mechanism_hetero(params, cost_ratio, tax_split=tax_split)
     return optimal_mechanism(params, tax_split=tax_split), params
 
 
@@ -129,8 +120,8 @@ def _outcome_doc(outcome) -> dict:
 
 def cmd_solve(args) -> int:
     params = _load_params(args)
-    hetero = _parse_hetero(args.hetero, params) if args.hetero else None
-    mech, p_eff = _solve_point(params, args.tax_split, hetero)
+    cost_ratio = _parse_hetero(args.hetero) if args.hetero else None
+    mech, p_eff = _solve_point(params, args.tax_split, cost_ratio)
     avg_fee, fee_ok = sufficient_fee_check(mech.outcome, p_eff)
     taxes = {name.upper(): value for name, value in asdict(mech.tax).items()}  # P_HH, ...
     doc = {
@@ -183,7 +174,7 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
     for value in values:
         row = {"axis": axis, "value": float(value), "error": ""}
         try:
-            hetero = None
+            cost_ratio = None
             p = params
             if axis == "gamma":
                 p = replace(params, impatience=float(value))
@@ -195,13 +186,11 @@ def sweep_rows(params: SystemParams, axis: str, lo: float, hi: float, steps: int
                 half = int(round(value / 2.0))
                 p = replace(params, n_users_high=half, n_users_low=half)
             elif axis == "cost_ratio":
-                hetero = HeteroCostParams(
-                    cost_low=params.storage_cost_per_byte,
-                    cost_high=float(value) * params.storage_cost_per_byte)
+                cost_ratio = float(value)
             else:
                 raise ValueError(f"unknown axis {axis!r}")
 
-            mech, p_eff = _solve_point(p, tax_split, hetero)
+            mech, p_eff = _solve_point(p, tax_split, cost_ratio)
             welfare = social_welfare(mech.outcome, mech.menu, mech.tax, p_eff)
             bound = p_eff.system_storage_per_byte
             # baseline miners accept at the cheapest miner's threshold;
@@ -290,8 +279,8 @@ def _simulate_doc(report) -> dict:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
-    hetero = _parse_hetero(args.hetero, params) if args.hetero else None
-    mech, p_eff = _solve_point(params, args.tax_split, hetero)
+    cost_ratio = _parse_hetero(args.hetero) if args.hetero else None
+    mech, p_eff = _solve_point(params, args.tax_split, cost_ratio)
     horizon = 1e5 / p_eff.block_rate if args.horizon is None else args.horizon
     config = SimConfig(
         params=p_eff, menu=mech.menu, tax=mech.tax, profile=mech.outcome.profile,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (FeeMenu, HeteroCostParams, InvalidInput, SneKind, SystemParams,
-                    TaxVector, require_valid)
+from .model import FeeMenu, InvalidInput, SneKind, SystemParams, TaxVector, require_valid
 from .queue import InvariantError, by_role, split_roles, welfare_rate
 from .user_game import (SneOutcome, _both_rates, _only_b_rates, _type_rates, sne_select,
                         user_payoff)
@@ -161,16 +160,22 @@ def optimal_mechanism(params: SystemParams, tax_split: str = "fairness") -> Mech
                      outcome=outcome)
 
 
-def optimal_mechanism_hetero(params: SystemParams, hc: HeteroCostParams,
+def optimal_mechanism_hetero(params: SystemParams, cost_ratio: float,
                              tax_split: str = "fairness") -> tuple[Mechanism, SystemParams]:
-    """Optimal mechanism under two-tier miner storage costs.
+    """Optimal mechanism under two-tier miner storage costs: half of the
+    miners at `storage_cost_per_byte`, half at `cost_ratio` times it.
 
     Identical to the homogeneous problem with the per-miner cost replaced
     by the across-miner average: within the feasible fee region every miner
     accepts, so equilibria are unchanged. Returns the mechanism together
     with the effective params it was solved against.
     """
-    params_eff = replace(params, storage_cost_per_byte=hc.mean_cost)
+    cost_low = params.storage_cost_per_byte
+    cost_high = cost_ratio * cost_low
+    if not (cost_high >= cost_low > 0):
+        raise InvalidInput(
+            f"requires cost_high >= cost_low > 0, got ({cost_high}, {cost_low})")
+    params_eff = replace(params, storage_cost_per_byte=0.5 * cost_high + 0.5 * cost_low)
     return optimal_mechanism(params_eff, tax_split=tax_split), params_eff
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "RatePair",
     "SneKind",
     "StrategyProfile",
-    "HeteroCostParams",
     "InvalidInput",
     "validate_params",
     "require_valid",
@@ -212,25 +211,6 @@ class StrategyProfile:
             + params.n_users_low * self.rates_low_type.rate_low
         )
         return agg_high, agg_low
-
-
-@dataclass(frozen=True)
-class HeteroCostParams:
-    """Two-tier miner storage costs, half of the miners at each tier."""
-
-    cost_low: float
-    cost_high: float
-
-    def __post_init__(self):
-        if not (self.cost_high >= self.cost_low > 0):
-            raise InvalidInput(
-                f"requires cost_high >= cost_low > 0, got ({self.cost_high}, {self.cost_low})"
-            )
-
-    @property
-    def mean_cost(self) -> float:
-        """Average per-miner storage cost per byte."""
-        return 0.5 * self.cost_high + 0.5 * self.cost_low
 
 
 # --- config file I/O -------------------------------------------------------

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from fwt.model import FeeMenu, SystemParams, TaxVector
 
@@ -31,6 +32,25 @@ def same_bits(got: float, want: float) -> bool:
     if math.isnan(want):
         return math.isnan(got)
     return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+_NONNEGATIVE = st.floats(min_value=0.0, **_FINITE)
+_COUNT = st.integers(1, 10 ** 12)
+
+
+@st.composite
+def valid_params(draw, storage_cost=_NONNEGATIVE):
+    """A point `validate_params` accepts (uniform mining power), with the
+    impatience also drawn log-uniformly so that tiny and huge gammas occur,
+    and C_s drawn from `storage_cost`."""
+    low, high = sorted(draw(st.tuples(_NONNEGATIVE, _NONNEGATIVE)))
+    gamma = st.one_of(_NONNEGATIVE, st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e))
+    return SystemParams(
+        n_users_high=draw(_COUNT), n_users_low=draw(_COUNT), n_miners=draw(_COUNT),
+        block_rate=draw(_POSITIVE), impatience=draw(gamma), mean_tx_size=draw(_POSITIVE),
+        storage_cost_per_byte=draw(storage_cost), utility_high=high, utility_low=low)
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import fwt.cli
 import fwt.mechanism
@@ -21,6 +20,8 @@ from fwt.checks import criterion_grid, jain_index
 from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
 from fwt.model import SystemParams, validate_params
 from fwt.queue import InvariantError
+
+from conftest import valid_params
 
 
 def run_cli(args, capsys):
@@ -111,26 +112,8 @@ def test_sweep_point_fault_exits_3_with_nothing_on_stdout(capsys):
     assert len(err.splitlines()) == 1
 
 
-_FINITE = dict(allow_nan=False, allow_infinity=False)
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
-_NONNEGATIVE = st.floats(min_value=0.0, **_FINITE)
-_COUNT = st.integers(1, 10 ** 12)
-
-
-@st.composite
-def _valid_params(draw):
-    """A point `validate_params` accepts (uniform mining power), with the
-    impatience also drawn log-uniformly so that tiny and huge gammas occur."""
-    low, high = sorted(draw(st.tuples(_NONNEGATIVE, _NONNEGATIVE)))
-    gamma = st.one_of(_NONNEGATIVE, st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e))
-    return SystemParams(
-        n_users_high=draw(_COUNT), n_users_low=draw(_COUNT), n_miners=draw(_COUNT),
-        block_rate=draw(_POSITIVE), impatience=draw(gamma), mean_tx_size=draw(_POSITIVE),
-        storage_cost_per_byte=draw(_NONNEGATIVE), utility_high=high, utility_low=low)
-
-
 @settings(max_examples=100, deadline=None)
-@given(params=_valid_params())
+@given(params=valid_params())
 @example(params=SystemParams(impatience=1e-36))     # a ZeroDivisionError escaped: exit 1
 @example(params=SystemParams(block_rate=1e308))     # the same
 @example(params=SystemParams(mean_tx_size=1e-320))  # FeeMenu's ValueError read as exit 2
@@ -289,12 +272,36 @@ def test_solve_hetero_ratio(capsys):
 
 
 @pytest.mark.parametrize("spec", ["cost_low=1e-9", "ratio=2,split=0.5",
-                                  "ratio=2,cost_low=1e-9", "ratio", "split=0.5", "ratio=abc"])
+                                  "ratio=2,cost_low=1e-9", "ratio", "split=0.5", "ratio=abc",
+                                  "ratio=nan", "ratio=-inf", "ratio=1e400"])
 def test_hetero_takes_ratio_only(capsys, spec):
-    code, out, err = run_cli(["solve", "--hetero", spec], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("invalid input:")
+    """Anything but `ratio=` and a finite number is refused by the parser."""
+    assert run_cli(["solve", "--hetero", spec], capsys) == (
+        2, "", f"invalid input: --hetero takes ratio=<x>, got {spec!r}\n")
+
+
+@pytest.mark.parametrize("ratio, params", [
+    ("0.5", []), ("-1", []), ("inf", []), ("5", ["--param", "storage_cost_per_byte=0"])],
+    ids=["below_one", "negative", "infinite", "free_storage"])
+def test_hetero_invalid_input_reads_the_same_on_every_command(capsys, ratio, params):
+    """A ratio below 1, a non-finite one, or C_s = 0 (no cheaper tier) gives
+    one exit code and message through `solve` and `simulate`, and the same
+    message in the `error` cell of a `cost_ratio` sweep row. An infinite
+    ratio makes no row: `--range` takes finite bounds only."""
+    code, out, err = run_cli(["solve", "--hetero", f"ratio={ratio}"] + params, capsys)
+    assert (code, out) == (2, "") and err.startswith("invalid input: ")
+    assert run_cli(["simulate", "--hetero", f"ratio={ratio}"] + params, capsys) == (
+        code, out, err)
+    sweep_code, sweep_out, sweep_err = run_cli(
+        ["sweep", "--axis", "cost_ratio", f"--range={ratio}:{ratio}", "--steps", "1"] + params,
+        capsys)
+    if ratio == "inf":
+        assert (sweep_code, sweep_out, sweep_err) == (
+            2, "", "invalid input: bad --range 'inf:inf', bounds must be finite\n")
+        return
+    assert (sweep_code, sweep_err) == (0, "")
+    (row,) = csv.DictReader(io.StringIO(sweep_out))
+    assert f"invalid input: {row['error']}\n" == err
 
 
 def test_param_overrides_config_key(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,6 @@ from fwt.mechanism import (
 )
 from fwt.model import (
     FeeMenu,
-    HeteroCostParams,
     SneKind,
     SystemParams,
     TaxVector,
@@ -33,7 +34,7 @@ from fwt.user_game import (_only_b_rates, _type_rates, best_response_check, sne_
                            user_payoff)
 
 import reference
-from conftest import exactness, same_bits
+from conftest import exactness, same_bits, valid_params
 
 
 # frozen expectations at the evaluation defaults (gamma=5e-5, R_H=1.8e-3):
@@ -726,29 +727,57 @@ def test_equal_utilities_low_type_taxed_more(table_params):
 
 # --- heterogeneous storage costs ---------------------------------------------------
 
-def test_hetero_degenerate_matches_homogeneous(table_params):
-    c_s = table_params.storage_cost_per_byte
-    hc = HeteroCostParams(cost_low=c_s, cost_high=c_s)
-    mech_h, p_eff = optimal_mechanism_hetero(table_params, hc)
-    mech = optimal_mechanism(table_params)
-    assert p_eff == table_params
-    assert mech_h == mech
+def _assert_same_bits(got, want, path="result"):
+    """Every float in the nested dataclasses and tuples `got` and `want` has
+    the same bits (`same_bits`), and every other leaf is equal."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), (path, got, want)
+        for field in dataclasses.fields(want):
+            _assert_same_bits(getattr(got, field.name), getattr(want, field.name),
+                              f"{path}.{field.name}")
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), (path, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and same_bits(got, want), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def _result_or_raised(solve, *args):
+    """What `solve(*args)` returns, or the class and message of what it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# 0.5 * C_s is exact only where it is a normal double: from twice the
+# smallest normal up. Below that it rounds to even, so two equal subnormal
+# tiers need not average to C_s.
+@settings(max_examples=100, deadline=None)
+@given(params=valid_params(st.floats(min_value=2 * sys.float_info.min, allow_infinity=False)))
+@example(params=SystemParams())
+def test_hetero_degenerate_matches_homogeneous(params):
+    """At ratio 1 both tiers cost C_s and average to it, so the hetero solve
+    is the homogeneous one: the same exception class and message, or the
+    same params and mechanism, bit for bit."""
+    _assert_same_bits(
+        _result_or_raised(optimal_mechanism_hetero, params, 1.0),
+        _result_or_raised(lambda p: (optimal_mechanism(p), p), params))
 
 
 def test_hetero_ratio_ten_menu(table_params):
-    c_s = table_params.storage_cost_per_byte
-    hc = HeteroCostParams(cost_low=c_s, cost_high=10 * c_s)
-    mech, p_eff = optimal_mechanism_hetero(table_params, hc)
+    mech, p_eff = optimal_mechanism_hetero(table_params, 10.0)
     assert p_eff.system_storage_per_byte == pytest.approx(2.75e-5, rel=1e-12)
     assert mech.menu.rho_low == pytest.approx(2.75e-5, rel=1e-12)
 
 
 def test_hetero_sufficient_fee_against_hetero_bound(table_params):
-    c_s = table_params.storage_cost_per_byte
     # keep the generating case under the fattened storage bound
     p = replace(table_params, utility_high=8e-3, utility_low=4e-3)
-    hc = HeteroCostParams(cost_low=c_s, cost_high=10 * c_s)
-    mech, p_eff = optimal_mechanism_hetero(p, hc)
+    mech, p_eff = optimal_mechanism_hetero(p, 10.0)
     out = induced_outcome(mech, p_eff)
     assert out.profile.rates_high_type.total > 0
     _, ok = sufficient_fee_check(out, p_eff)

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import io
+import json
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -97,17 +98,23 @@ def test_validate_against_simulator_rejects_negative_seed(capsys):
 
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
-    """With its command list cut to one solve, one check suite, one oracle
-    point, two Stage-II cases, one Lemma-1 profile, the taxed optimal
-    mechanism at the defaults and two failing argv, the script writes the
-    solve JSON as `fwt solve` prints it, the suite's pass flag and detail
+    """With its command list cut to one solve and the two hetero commands
+    that reach past `solve_hetero.json`'s no-generation case, one check
+    suite, one oracle point, two Stage-II cases, one Lemma-1 profile, the
+    taxed optimal mechanism at the defaults and two failing argv, the script
+    writes the solve JSON as `fwt solve` prints it, a hetero simulation in
+    which type H generates, a `cost_ratio` sweep whose rows all carry the
+    hetero error, the suite's pass flag and detail
     lines, the repr of every field of the oracle's result, the repr of every
     field of the selected equilibrium or what its selection raised, the repr
     of every simulator report field but the event log, and each failing
     argv's exit code and last stderr line as `fwt.cli.main` gives them."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     script = _load_script("snapshot_outputs")
-    monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])])
+    hetero = [(name, argv) for name, argv in script.COMMANDS
+              if name in ("simulate_hetero.json", "sweep_cost_ratio_free_storage.csv")]
+    assert len(hetero) == 2
+    monkeypatch.setattr(script, "COMMANDS", [("solve.json", ["solve"])] + hetero)
     monkeypatch.setattr(script, "CHECKS", ["corollary2"])
     failing = [["solve", "--param", "bogus=1"], ["solve", "--param", "impatience=1e-36"]]
     monkeypatch.setattr(script, "FAILING", failing)
@@ -137,8 +144,15 @@ def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypa
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "check_corollary2.txt", "exit_codes.txt", "oracle.txt", "sim.txt", "solve.json",
-        "stage2.txt"]
+        "check_corollary2.txt", "exit_codes.txt", "oracle.txt", "sim.txt",
+        "simulate_hetero.json", "simulate_hetero_events.csv", "solve.json", "stage2.txt",
+        "sweep_cost_ratio_free_storage.csv"]
+    simulated = json.loads((tmp_path / "simulate_hetero.json").read_text())
+    assert simulated["type_wait_mean"]["H"] > 0
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / "sweep_cost_ratio_free_storage.csv").read_text())))
+    assert [row["error"] for row in rows] == [
+        "requires cost_high >= cost_low > 0, got (0.0, 0.0)"] * 3
     o = sne_select(low_fee, TaxVector.zero(), SystemParams())
     assert (tmp_path / "stage2.txt").read_text().splitlines() == [
         f"low fee: profile={o.profile!r} sne_kind={o.sne_kind!r} fee_used={o.fee_used!r} "
