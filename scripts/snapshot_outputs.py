@@ -103,6 +103,7 @@ FAILING = [
     ["solve", "--hetero", "ratio=abc"],
     ["solve", "--hetero", "ratio=0.5"],
     ["solve", "--hetero", "ratio=inf"],
+    ["solve", "--hetero", "ratio=1e308", "--param", "storage_cost_per_byte=2"],
     ["solve", "--config", "missing.cfg"],
     ["solve", "--out", "missing/solve.json"],
     ["sweep", "--axis", "gamma", "--range", "0:nan"],

@@ -44,18 +44,15 @@ TABLE_DEFAULTS = SystemParams()
 
 
 def jain_index(payoffs, counts) -> float:
-    """Jain's fairness index (sum u)^2 / (N sum u^2) of N users, counts[i] of
-    whom get payoffs[i]; NaN when every payoff is 0. It is computed as
-    1 - sum_{i<j} c_i c_j (u_i - u_j)^2 / (N sum c u^2) (Lagrange's
+    """Jain's fairness index (sum u)^2 / (N sum u^2) of N users, counts =
+    (n_H, n_L) of whom get payoffs = (u_H, u_L); NaN when every payoff is 0.
+    It is computed as 1 - n_H n_L (u_H - u_L)^2 / (N sum n u^2) (Lagrange's
     identity), so rounding cannot take it above 1."""
-    if len(payoffs) == 0 or len(payoffs) != len(counts):
-        raise ValueError("jain_index needs one user count per payoff, and a payoff")
-    denom = sum(counts) * sum(c * u * u for u, c in zip(payoffs, counts))
+    (u_h, u_l), (n_h, n_l) = payoffs, counts
+    denom = (n_h + n_l) * (n_h * u_h * u_h + n_l * u_l * u_l)
     if denom == 0.0:
         return math.nan
-    spread = sum(counts[i] * counts[j] * (payoffs[i] - payoffs[j]) ** 2
-                 for i in range(len(payoffs)) for j in range(i))
-    return 1.0 - spread / denom
+    return 1.0 - n_l * n_h * (u_l - u_h) ** 2 / denom
 
 
 @dataclass
@@ -232,14 +229,13 @@ def validate_lemma1(params: SystemParams, menu: FeeMenu, profile: StrategyProfil
     return results
 
 
-def check_lemma1(replications: int = 10, horizon: float | None = None,
-                 seed: int = 0) -> CheckResult:
+def check_lemma1(replications: int = 10, seed: int = 0) -> CheckResult:
     """Simulator waiting rates match the closed forms at stable profiles."""
     details = []
     all_ok = True
     for i, (label, params, menu, profile) in enumerate(lemma1_profiles()):
         results = validate_lemma1(params, menu, profile, replications=replications,
-                                  horizon=horizon, seed=seed + i)
+                                  seed=seed + i)
         ok = all(r.passed for r in results)
         all_ok = all_ok and ok
         for r in results:

@@ -175,6 +175,9 @@ def optimal_mechanism_hetero(params: SystemParams, cost_ratio: float,
     if not (cost_high >= cost_low > 0):
         raise InvalidInput(
             f"requires cost_high >= cost_low > 0, got ({cost_high}, {cost_low})")
+    if math.isinf(cost_high):
+        raise InvalidInput(f"requires a finite cost_high = ratio * cost_low, "
+                           f"got {cost_ratio!r} * {cost_low!r}")
     params_eff = replace(params, storage_cost_per_byte=0.5 * cost_high + 0.5 * cost_low)
     return optimal_mechanism(params_eff, tax_split=tax_split), params_eff
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 
 import fwt.cli
 import fwt.mechanism
-from fwt.checks import criterion_grid, jain_index
+from fwt.checks import SUITES, CheckResult, check_lemma1, criterion_grid, jain_index
 from fwt.cli import SWEEP_COLUMNS, main, sweep_rows
 from fwt.model import SystemParams, validate_params
 from fwt.queue import InvariantError
@@ -31,7 +31,6 @@ def run_cli(args, capsys):
 
 
 def test_jain_index_examples():
-    assert jain_index([3.0], [3]) == 1.0
     assert jain_index([3.0, 3.0], [2, 5]) == 1.0
     assert jain_index([1.0, 0.0], [1, 1]) == pytest.approx(0.5)
     assert jain_index([2.0, 1.0], [1, 2]) == pytest.approx(16 / 18)
@@ -278,6 +277,20 @@ def test_hetero_takes_ratio_only(capsys, spec):
     """Anything but `ratio=` and a finite number is refused by the parser."""
     assert run_cli(["solve", "--hetero", spec], capsys) == (
         2, "", f"invalid input: --hetero takes ratio=<x>, got {spec!r}\n")
+
+
+def test_hetero_overflowing_high_tier_is_refused_by_the_tier_check(capsys):
+    """A finite ratio whose high tier overflows is refused where the tiers
+    are formed, in `solve` and in a `cost_ratio` sweep row, not blamed on
+    C_s once their mean is inf."""
+    message = "requires a finite cost_high = ratio * cost_low, got 1e+308 * 2.0"
+    c_s = ["--param", "storage_cost_per_byte=2"]
+    assert run_cli(["solve", "--hetero", "ratio=1e308"] + c_s, capsys) == (
+        2, "", f"invalid input: {message}\n")
+    code, out, err = run_cli(["sweep", "--axis", "cost_ratio", "--range", "1:1e308",
+                              "--steps", "2"] + c_s, capsys)
+    assert (code, err) == (0, "")
+    assert [row["error"] for row in csv.DictReader(io.StringIO(out))] == ["", message]
 
 
 @pytest.mark.parametrize("ratio, params", [
@@ -546,6 +559,25 @@ def test_check_corollary2_passes(capsys):
     code, out, _ = run_cli(["check", "corollary2"], capsys)
     assert code == 0
     assert out.startswith("PASS corollary2")
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
+def test_check_lemma1_prints_verdict_and_suite_details(capsys, monkeypatch, fail):
+    """`fwt check lemma1` prints `PASS|FAIL lemma1 (<s>s)`, then the suite's
+    detail lines indented by two spaces, and exits 1 exactly on FAIL. The
+    failing case replaces the suite by a failed one, so its exit 1 does not
+    rest on a chance miss of the simulator."""
+    if fail:
+        suite = CheckResult(passed=False, details=["BAD profile [H]: measured off"])
+        monkeypatch.setitem(SUITES, "lemma1", (lambda **kw: suite, "replications", "seed"))
+    else:
+        suite = check_lemma1(replications=2, seed=0)
+    code, out, _ = run_cli(["check", "lemma1", "--budget", "2", "--seed", "0"], capsys)
+    status, *details = out.splitlines()
+    verdict = "PASS" if suite.passed else "FAIL"
+    assert re.fullmatch(rf"{verdict} lemma1 \(\d+\.\ds\)", status), status
+    assert details == ["  " + d for d in suite.details]
+    assert code == (0 if suite.passed else 1)
 
 
 def test_check_miner_ne_small_budget(capsys):

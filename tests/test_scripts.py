@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fwt.checks import CheckResult, lemma1_profiles, run_suite
+from fwt.checks import lemma1_profiles, run_suite
 from fwt.cli import _PAPER_N_RANGE, _SWEEP_DEFAULTS, SWEEP_COLUMNS, sweep_rows
 from fwt.cli import main as fwt_main
 from fwt.mechanism import optimal_mechanism, unconstrained_optimum_oracle
@@ -45,56 +45,6 @@ def test_run_evaluation_sweeps_writes_sweep_rows(tmp_path, capsys, flags):
         writer.writerows(sweep_rows(params, axis, lo, hi, steps))
         with (tmp_path / f"sweep_{axis}.csv").open(newline="") as fh:
             assert fh.read() == buf.getvalue()
-
-
-@pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
-def test_validate_against_simulator_prints_lemma1_suite(capsys, monkeypatch, fail):
-    """The script prints the Lemma-1 suite's lines for its arguments and
-    exits 0 exactly when that suite passes. The failing case replaces the
-    script's suite by a failed one, so its exit 1 does not rest on a chance
-    miss of the simulator."""
-    script = _load_script("validate_against_simulator")
-    if fail:
-        failed = CheckResult(passed=False, details=["BAD profile [H]: measured off"])
-        monkeypatch.setattr(script, "check_lemma1", lambda **kw: failed)
-    code = script.main(["--replications", "2", "--horizon", "50", "--seed", "0"])
-    lines = capsys.readouterr().out.splitlines()
-    suite = script.check_lemma1(replications=2, horizon=50.0, seed=0)
-    assert lines[:len(suite.details)] == suite.details
-    assert [line.split(":")[0] for line in lines[len(suite.details):]] == [
-        "welfare", "payoff H", "payoff L"]
-    assert code == (0 if suite.passed else 1)
-
-
-def test_validate_against_simulator_rejects_one_replication(capsys):
-    script = _load_script("validate_against_simulator")
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--replications", "1"])
-    assert exc.value.code == 2
-    assert "--replications must be at least 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("horizon", ["0", "-5", "nan", "inf"])
-def test_validate_against_simulator_rejects_bad_horizon(capsys, horizon):
-    """A horizon that is not positive and finite is a usage error (exit 2),
-    not a failed Lemma-1 suite (exit 1), and nothing is simulated."""
-    script = _load_script("validate_against_simulator")
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--horizon", horizon])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--horizon must be positive and finite" in captured.err
-
-
-def test_validate_against_simulator_rejects_negative_seed(capsys):
-    script = _load_script("validate_against_simulator")
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--seed", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--seed must be a non-negative integer, got -1" in captured.err
 
 
 def test_snapshot_outputs_writes_one_file_per_command(tmp_path, capsys, monkeypatch):
